@@ -1,7 +1,7 @@
 //! Million-job event-core benchmark: the first wall-clock measurement
 //! of the simulator itself (every earlier bench timed schedulers).
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! * `sim_queue_hold` criterion groups + `sim-queue` lines — the classic
 //!   hold model (pop one event, push its successor) at steady queue
@@ -17,12 +17,6 @@
 //!   reported for the *event core* (total wall minus scheduler wall):
 //!   the scheduler is deliberately cheap, but at 10⁶×10⁴ scale its
 //!   ETC scans still dominate raw queue traffic.
-//! * `sim-shards` lines — the Poisson system sharded across 2/4/8
-//!   site-local event loops with a threaded per-site snapshot build
-//!   (`SimConfig::with_sites`). Every sharded run is asserted
-//!   bit-identical to the centralized headline run; the lines record
-//!   wall clock, snapshot share and cross-shard traffic per shard
-//!   count, plus the host core count the numbers were taken on.
 //! * a `sim-flatness` line — the same Poisson system at 10⁵ vs 10⁶
 //!   jobs: per-event cost must stay near-flat as the run grows 10×, or
 //!   something in the core is super-linear again.
@@ -242,45 +236,6 @@ fn full_sim_benches(quick: bool) {
         pct(Phase::Queue),
         pct(Phase::FaultHandling),
     );
-
-    // Sharded event loops: the same system split across site-local
-    // loops, snapshot build threaded one worker per site. Determinism
-    // is unconditional — every sharded run must land on the headline
-    // run's exact digest and makespan bits — so the only thing that can
-    // move is wall clock. The recorded host core count keeps the
-    // numbers honest: with one core the threaded build serializes and
-    // the lines just document the (small) coordination overhead.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let shard_counts: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
-    println!("sim-shards-host cores={cores}");
-    for &sites in shard_counts {
-        let config = poisson.clone().with_sites(sites, sites);
-        let mut scheduler = HeuristicScheduler::new(ConstructiveKind::Mct);
-        let report = Simulation::new(config, 42)
-            .with_profiling()
-            .run(&mut scheduler);
-        assert_eq!(
-            report.event_digest, cal.event_digest,
-            "{sites} sites must replay the centralized event stream"
-        );
-        assert_eq!(
-            report.realized_makespan.to_bits(),
-            cal.realized_makespan.to_bits(),
-            "{sites} sites must agree on makespan bit-for-bit"
-        );
-        let telemetry = &report.telemetry;
-        let site_events = &telemetry.site_events;
-        println!(
-            "sim-shards scenario=poisson_1m backend=Calendar sites={sites} workers={sites} wall_s={:.2} core_ns_per_event={:.1} snapshot_pct={:.1} cross_shard_msgs={} epochs={} site_events_min={} site_events_max={}",
-            report.sim_wall_s,
-            core_ns_per_event(&report),
-            report.telemetry.phases.share(Phase::SnapshotBuild) * 100.0,
-            telemetry.cross_shard_messages,
-            telemetry.epochs,
-            site_events.iter().min().copied().unwrap_or(0),
-            site_events.iter().max().copied().unwrap_or(0),
-        );
-    }
 
     // Flatness: the same system stopped at a tenth of the horizon. The
     // per-event cost must not grow with cumulative jobs drained.

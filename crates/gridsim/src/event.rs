@@ -487,13 +487,6 @@ impl Backend {
         }
     }
 
-    fn peek_key(&self) -> Option<(i64, u64)> {
-        match self {
-            Self::Calendar(q) => q.peek().map(Entry::key),
-            Self::Heap(q) => q.peek().map(|e| e.0.key()),
-        }
-    }
-
     fn peek_time(&self) -> Option<i64> {
         match self {
             Self::Calendar(q) => q.peek().map(|e| e.time),
@@ -565,36 +558,6 @@ impl EventQueue {
         self.seq += 1;
         self.live += 1;
         token
-    }
-
-    /// Schedules `event` under an externally-allocated sequence number:
-    /// the sharded queue ([`crate::shard::ShardedEventQueue`]) draws
-    /// seqs from one shared global counter so the merged pop order over
-    /// its partitioned sub-queues is exactly the single-queue order.
-    /// Seqs must arrive strictly increasing per queue (the shared
-    /// counter guarantees it globally).
-    pub(crate) fn push_with_seq(&mut self, time: i64, seq: u64, event: Event) -> EventToken {
-        assert!(time >= 0, "event time must be non-negative");
-        debug_assert!(seq >= self.seq, "shared sequence numbers must increase");
-        self.seq = seq + 1;
-        self.backend.push(Entry { time, seq, event });
-        self.live += 1;
-        seq
-    }
-
-    /// `(tick, seq)` ordering key of the earliest live pending event —
-    /// what the sharded queue compares across its sub-queues to find
-    /// the global minimum. Purges cancelled heads like
-    /// [`peek_time`](Self::peek_time).
-    pub(crate) fn peek_key(&mut self) -> Option<(i64, u64)> {
-        while let Some(seq) = self.backend.peek_seq() {
-            if self.cancelled.binary_search(&seq).is_err() {
-                break;
-            }
-            let entry = self.backend.pop().expect("peeked entry");
-            self.take_cancelled(entry.seq);
-        }
-        self.backend.peek_key()
     }
 
     /// Lazily cancels a scheduled event: the entry stays in its bucket

@@ -83,9 +83,7 @@ pub mod machine;
 pub mod metrics;
 pub mod scenario;
 pub mod scheduler;
-pub mod shard;
 mod sim;
-pub mod site;
 pub mod workload;
 
 pub use config::ConfigError;
@@ -93,7 +91,5 @@ pub use event::QueueKind;
 pub use fault::{FailureModel, RecoveryPolicy, RetryPolicy};
 pub use metrics::{SimReport, TelemetryReport};
 pub use scenario::{ChurnModel, ScenarioFamily};
-pub use shard::ShardedEventQueue;
 pub use sim::{ticks_to_time, time_to_ticks, SimConfig, Simulation};
-pub use site::SiteTopology;
 pub use workload::ArrivalProcess;

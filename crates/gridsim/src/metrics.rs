@@ -20,7 +20,7 @@ pub struct JobRecord {
     pub job: u64,
     /// Arrival time.
     pub arrival: f64,
-    /// First execution start.
+    /// The final attempt's execution start.
     pub started: f64,
     /// Completion time.
     pub finished: f64,
@@ -57,29 +57,6 @@ pub struct TelemetryReport {
     pub dispatches: u64,
     /// Delayed retries armed by the fault layer.
     pub retries_scheduled: u64,
-    /// Events executed by each site-local event loop (index = site; a
-    /// single-site grid has one entry). Tick-domain exact: pop
-    /// attribution is a function of the merged `(tick, seq)` order, so
-    /// these counts are identical across backends and worker counts.
-    pub site_events: Vec<u64>,
-    /// Events executed by the coordinator loop (arrivals, scheduler
-    /// activations, churn, retries). Tick-domain exact.
-    pub coordinator_events: u64,
-    /// Cross-shard messages: events one loop scheduled into another
-    /// domain (site→coordinator, coordinator→site, or site→site),
-    /// exchanged at the `(tick, seq)` merge. Tick-domain exact.
-    pub cross_shard_messages: u64,
-    /// Lockstep epochs crossed — scheduler-activation barriers, at
-    /// which cross-shard handoffs take effect. Tick-domain exact.
-    pub epochs: u64,
-    /// Per-site live event backlog, sampled at every scheduler
-    /// activation (index = site). Backend-invariant like
-    /// [`queue_depth`](Self::queue_depth).
-    pub site_queue_depth: Vec<Gauge>,
-    /// Per-site snapshot-build wall seconds (index = site).
-    /// **Informational-only** and populated only when profiling is on
-    /// and the grid is multi-site.
-    pub site_snapshot_s: Vec<f64>,
     /// Wall-clock phase attribution (scheduler / snapshot_build /
     /// dispatch / queue / fault_handling). **Informational-only** —
     /// durations vary run to run; span *counts* are deterministic.
@@ -121,7 +98,7 @@ pub struct SimReport {
     pub flowtime: f64,
     /// Sum of response times (completion − arrival).
     pub total_response: f64,
-    /// Sum of waiting times (first start − arrival).
+    /// Sum of waiting times (final attempt's start − arrival).
     pub total_wait: f64,
     /// Scheduler activations that had work to plan.
     pub activations: u64,
@@ -172,7 +149,8 @@ impl SimReport {
         }
     }
 
-    /// Mean waiting time per completed job.
+    /// Mean waiting time (final attempt's start − arrival) per
+    /// completed job.
     #[must_use]
     pub fn mean_wait(&self) -> f64 {
         if self.jobs_completed == 0 {

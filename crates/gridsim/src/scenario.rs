@@ -267,8 +267,6 @@ impl ScenarioFamily {
             execution_noise: 0.0,
             max_events: 1_000_000,
             queue: QueueKind::Calendar,
-            sites: 1,
-            shard_workers: 1,
             failures: FailureModel::None,
             recovery: RecoveryPolicy::default(),
         };

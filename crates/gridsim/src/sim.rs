@@ -33,13 +33,13 @@
 
 use std::time::Instant;
 
-use cmags_core::telemetry::{Gauge, JsonlWriter, Phase, PhaseTimer};
+use cmags_core::telemetry::{JsonlWriter, Phase, PhaseTimer};
 use cmags_etc::{EtcMatrix, GridInstance};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::ConfigError;
-use crate::event::{Event, QueueKind};
+use crate::event::{Event, EventQueue, QueueKind};
 use crate::fault::{
     exp_stream, unit_stream, FailureModel, RecoveryPolicy, RetryPolicy, STREAM_CRASH,
     STREAM_JITTER, STREAM_JOB_FAIL,
@@ -49,8 +49,6 @@ use crate::machine::{MachinePool, RunningJob};
 use crate::metrics::{JobRecord, SimReport};
 use crate::scenario::{ChurnModel, ScenarioFamily};
 use crate::scheduler::BatchScheduler;
-use crate::shard::ShardedEventQueue;
-use crate::site::{self, SiteScratch, SiteTopology};
 use crate::workload::{exp_gap, ArrivalGen, ArrivalProcess, JobSpec, MachineSpec, World};
 
 /// Converts seconds (the workload/metrics unit) to the simulation's
@@ -102,16 +100,6 @@ pub struct SimConfig {
     /// [`QueueKind::Heap`] selects the retained `BinaryHeap` reference
     /// (bit-identical results, used as the bench baseline).
     pub queue: QueueKind,
-    /// Grid sites: machines are partitioned `machine mod sites` and
-    /// each site runs its own event loop, merged deterministically at
-    /// the shared `(tick, seq)` order ([`crate::shard`]). `1` (the
-    /// default) is the classic centralized grid; every site count
-    /// produces bit-identical results.
-    pub sites: usize,
-    /// Worker threads for the per-site snapshot build (ETC slice
-    /// gathering). `1` keeps everything on the simulation thread;
-    /// results are bit-identical at any worker count.
-    pub shard_workers: usize,
 }
 
 impl SimConfig {
@@ -182,16 +170,6 @@ impl SimConfig {
                 what: "the max_events valve",
             });
         }
-        if self.sites == 0 {
-            return Err(ConfigError::ZeroCount {
-                what: "the site count",
-            });
-        }
-        if self.shard_workers == 0 {
-            return Err(ConfigError::ZeroCount {
-                what: "the shard worker count",
-            });
-        }
         self.arrivals.validate()?;
         self.churn.validate()?;
         self.failures.validate()?;
@@ -236,20 +214,7 @@ impl SimConfig {
             // for the drain tail.
             max_events: expected_jobs.saturating_mul(8).saturating_add(1_000_000),
             queue: QueueKind::Calendar,
-            sites: 1,
-            shard_workers: 1,
         }
-    }
-
-    /// Returns this configuration sharded across `sites` site-local
-    /// event loops with `workers` snapshot-build threads. Results are
-    /// bit-identical to the centralized configuration at any `(sites,
-    /// workers)` — the sharding property tests pin this.
-    #[must_use]
-    pub fn with_sites(mut self, sites: usize, workers: usize) -> Self {
-        self.sites = sites;
-        self.shard_workers = workers;
-        self
     }
 }
 
@@ -272,8 +237,6 @@ struct DispatchScratch {
     ready: Vec<f64>,
     /// Per-machine buckets of snapshot row indices.
     buckets: Vec<Vec<u32>>,
-    /// Per-site buffers of the sharded snapshot build.
-    site: SiteScratch,
 }
 
 /// The simulator. Owns all mutable state of one run.
@@ -285,9 +248,7 @@ pub struct Simulation {
     interval: i64,
     rng: SmallRng,
     arrivals: ArrivalGen,
-    events: ShardedEventQueue,
-    /// The machine→site partition (shared with `events`).
-    topology: SiteTopology,
+    events: EventQueue,
     pool: MachinePool,
     /// Jobs waiting for the next scheduler activation, in arrival order.
     pending: Vec<u64>,
@@ -354,10 +315,7 @@ impl Simulation {
         }
         let horizon = time_to_ticks(config.arrival_horizon);
         let interval = time_to_ticks(config.activation_interval);
-        let topology = SiteTopology::new(config.sites);
-        let events = ShardedEventQueue::new(config.queue, topology);
-        let mut report = SimReport::default();
-        report.telemetry.site_queue_depth = vec![Gauge::default(); config.sites];
+        let events = EventQueue::with_kind(config.queue);
         // A positive-seconds checkpoint interval can still round to
         // zero ticks; clamp so progress arithmetic never divides by it.
         let ckpt_ticks = config
@@ -372,14 +330,13 @@ impl Simulation {
             rng,
             arrivals,
             events,
-            topology,
             pool,
             pending: Vec::new(),
             jobs: JobArena::default(),
             now: 0,
             now_f: 0.0,
             next_job_id: 0,
-            report,
+            report: SimReport::default(),
             last_avail_update: 0,
             scratch: DispatchScratch::default(),
             fault_seed: seed,
@@ -497,13 +454,6 @@ impl Simulation {
         self.check_invariants();
         self.report.events_processed = processed;
         self.report.sim_wall_s = wall.elapsed().as_secs_f64();
-        // Shard attribution: which loop executed each event, how much
-        // traffic crossed domains, how many epoch barriers passed. All
-        // tick-domain exact (functions of the merged pop order alone).
-        self.report.telemetry.site_events = self.events.site_pops().to_vec();
-        self.report.telemetry.coordinator_events = self.events.coordinator_pops();
-        self.report.telemetry.cross_shard_messages = self.events.cross_messages();
-        self.report.telemetry.epochs = self.events.epochs();
         if let Some(trace) = self.trace.as_mut() {
             let mut record = trace
                 .record("run_end")
@@ -647,9 +597,6 @@ impl Simulation {
             .telemetry
             .queue_depth
             .set(self.events.len() as i64);
-        for s in 0..self.events.site_count() {
-            self.report.telemetry.site_queue_depth[s].set(self.events.site_len(s) as i64);
-        }
         if let Some(trace) = self.trace.as_mut() {
             trace
                 .record("activation")
@@ -759,39 +706,25 @@ impl Simulation {
         scratch.job_ids.append(&mut self.pending);
         let (nb_jobs, nb_machines) = (scratch.job_ids.len(), scratch.machine_ids.len());
 
-        // ETC snapshot into the reusable row-major buffer, built per
-        // site ([`crate::site`]) — each site's column slice is gathered
-        // independently (on `shard_workers` threads when configured)
-        // and scattered into the global matrix the scheduler plans
-        // over. With failure-aware scheduling on, the snapshot carries
-        // the *expected completion under retries* ([`RecoveryPolicy::
-        // inflate`]) — strictly monotone in the raw ETC, so per-machine
-        // SPT order is unchanged; realized execution always uses the
-        // true ETC.
+        // ETC snapshot into the reusable row-major buffer, job specs
+        // read straight from the arena. With failure-aware scheduling
+        // on, the snapshot carries the *expected completion under
+        // retries* ([`RecoveryPolicy::inflate`]) — strictly monotone in
+        // the raw ETC, so per-machine SPT order is unchanged; realized
+        // execution always uses the true ETC.
         let inflate = (self.config.recovery.etc_inflation && self.config.failures.enabled())
             .then_some((self.config.recovery, self.config.failures));
-        scratch.site.job_specs.clear();
-        scratch
-            .site
-            .job_specs
-            .extend(scratch.job_ids.iter().map(|&job| self.jobs.get(job).spec));
-        let spans = site::fill_etc_snapshot(
-            self.topology,
-            self.config.shard_workers,
-            &world,
-            inflate,
-            &scratch.machine_ids,
-            &scratch.specs,
-            &mut scratch.site,
-            &mut scratch.etc,
-            self.profile_on,
-        );
-        for (s, secs) in spans {
-            let per_site = &mut self.report.telemetry.site_snapshot_s;
-            if per_site.len() <= s {
-                per_site.resize(self.topology.sites(), 0.0);
+        scratch.etc.clear();
+        scratch.etc.reserve(nb_jobs * nb_machines);
+        for &job in &scratch.job_ids {
+            let spec = &jobs.get(job).spec;
+            for machine_spec in &scratch.specs {
+                let etc = world.etc(spec, machine_spec);
+                scratch.etc.push(match inflate {
+                    Some((recovery, failures)) => recovery.inflate(etc, &failures),
+                    None => etc,
+                });
             }
-            per_site[s] += secs;
         }
         let etc = EtcMatrix::from_rows(nb_jobs, nb_machines, std::mem::take(&mut scratch.etc));
         let ready = std::mem::take(&mut scratch.ready);
@@ -1181,7 +1114,7 @@ impl Simulation {
             // The attempt dies mid-flight: retract its event, refund
             // the unexecuted busy tail, and send the job down the same
             // retry path as a transient failure.
-            self.events.cancel(machine_id, running.finish_event);
+            self.events.cancel(running.finish_event);
             let refund = ticks_to_time(running.finish - self.now);
             self.report.busy_machine_seconds -= refund;
             if let Some(machine) = self.pool.get_mut(machine_id) {
@@ -1294,7 +1227,7 @@ impl Simulation {
                 .next_crash
                 .take();
             if let Some(token) = armed {
-                self.events.cancel(id, token);
+                self.events.cancel(token);
             }
         }
     }
@@ -1350,13 +1283,13 @@ impl Simulation {
         if let Some(dead) = self.pool.leave(victim) {
             // A departed machine's crash clock dies with it.
             if let Some(token) = dead.next_crash {
-                self.events.cancel(victim, token);
+                self.events.cancel(token);
             }
             // Kill the running job (non-preemptive loss), retract its
             // finish event, and resubmit it and the queue.
             let mut orphans = dead.queue;
             if let Some(running) = dead.running {
-                self.events.cancel(victim, running.finish_event);
+                self.events.cancel(running.finish_event);
                 let refund = ticks_to_time(running.finish - self.now);
                 self.report.busy_machine_seconds -= refund;
                 self.salvage_checkpoint(running.job, running.planned);

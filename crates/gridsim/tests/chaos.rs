@@ -56,8 +56,6 @@ fn chaos_base() -> SimConfig {
         execution_noise: 0.0,
         max_events: 1_000_000,
         queue: QueueKind::Calendar,
-        sites: 1,
-        shard_workers: 1,
         failures: FailureModel::None,
         recovery: RecoveryPolicy::default(),
     }

@@ -83,14 +83,14 @@ pub const RULES: &[RuleInfo] = &[
         what: "`f64`/`f32` types, suffixes, or float literals",
         why: "tick modules compute digests and event ordering on exact i64/i128 arithmetic; \
               float conversions live only in cmags_core::ticks",
-        scope: "crates/gridsim/src/{event,shard}.rs and files marked `lint:tick-domain`",
+        scope: "crates/gridsim/src/event.rs and files marked `lint:tick-domain`",
     },
     RuleInfo {
         name: "no-lossy-casts-in-ticks",
         what: "`as` casts to narrowing numeric types",
         why: "silent `as` truncation in tick arithmetic corrupts digests without panicking; \
               prove each cast lossless in a pragma or use try_from/widening",
-        scope: "crates/gridsim/src/{event,shard}.rs and files marked `lint:tick-domain`",
+        scope: "crates/gridsim/src/event.rs and files marked `lint:tick-domain`",
     },
 ];
 
@@ -163,16 +163,16 @@ fn wall_clock_exempt(path: &str) -> bool {
     path.starts_with("crates/bench/") || path == "crates/core/src/telemetry.rs"
 }
 
-/// Whether `path` is a tick-domain module: the event core — the queue
-/// backends and the sharded multi-loop merge — is always in scope;
-/// other files opt in with a `lint:tick-domain` marker comment.
-/// `cmags_core::ticks` is the designated float<->tick conversion
-/// boundary and is never in scope, marker or not.
+/// Whether `path` is a tick-domain module: the event core (the queue
+/// backends) is always in scope; other files opt in with a
+/// `lint:tick-domain` marker comment. `cmags_core::ticks` is the
+/// designated float<->tick conversion boundary and is never in scope,
+/// marker or not.
 fn tick_domain(path: &str, marked: bool) -> bool {
     if path == "crates/core/src/ticks.rs" {
         return false;
     }
-    marked || path == "crates/gridsim/src/event.rs" || path == "crates/gridsim/src/shard.rs"
+    marked || path == "crates/gridsim/src/event.rs"
 }
 
 /// A parsed `lint:allow` pragma.
@@ -526,20 +526,6 @@ mod tests {
             rules_hit("crates/core/src/x.rs", src),
             vec!["no-wall-clock-in-sim"]
         );
-    }
-
-    #[test]
-    fn shard_module_is_always_tick_domain() {
-        // The sharded event core carries the same exactness obligations
-        // as the queue backends: floats and narrowing casts are flagged
-        // without any marker comment.
-        let src = "fn f() { let x: f64 = 1.5; let y = 3i64 as u32; }\n";
-        let rules = rules_hit("crates/gridsim/src/shard.rs", src);
-        assert!(rules.contains(&"no-float-in-tick-domain"));
-        assert!(rules.contains(&"no-lossy-casts-in-ticks"));
-        // Site topology/snapshot code deals in ETC floats by design and
-        // stays out of scope unless marked.
-        assert!(rules_hit("crates/gridsim/src/site.rs", src).is_empty());
     }
 
     #[test]

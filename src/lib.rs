@@ -95,7 +95,7 @@ pub mod prelude {
     };
     pub use cmags_gridsim::{
         ArrivalProcess, ChurnModel, ConfigError, FailureModel, RecoveryPolicy, RetryPolicy,
-        ScenarioFamily, SimConfig, SimReport, Simulation, SiteTopology, TelemetryReport,
+        ScenarioFamily, SimConfig, SimReport, Simulation, TelemetryReport,
     };
     pub use cmags_heuristics::constructive::{
         Constructive, ConstructiveKind, Duplex, LjfrSjfr, MaxMin, Mct, Met, MinMin, Olb,

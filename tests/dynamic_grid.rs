@@ -3,6 +3,7 @@
 use cmags::gridsim::scheduler::{CmaScheduler, HeuristicScheduler, RandomScheduler};
 use cmags::gridsim::{QueueKind, ScenarioFamily, SimConfig, Simulation};
 use cmags::prelude::*;
+use proptest::prelude::*;
 
 #[test]
 fn cma_batch_mode_completes_a_dynamic_workload() {
@@ -298,4 +299,83 @@ fn simulator_snapshot_is_a_valid_static_instance() {
     let report = Simulation::new(SimConfig::small(), 3).run(&mut capture);
     assert!(capture.snapshots > 0);
     assert_eq!(capture.snapshots as u64, report.activations);
+}
+
+/// Every simulation-visible output that must not move by a single bit
+/// between the two event-queue backends.
+fn assert_bit_identical(calendar: &SimReport, heap: &SimReport, what: &str) {
+    assert_eq!(
+        calendar.event_digest, heap.event_digest,
+        "{what}: event digest"
+    );
+    assert_eq!(
+        calendar.fault_digest, heap.fault_digest,
+        "{what}: fault digest"
+    );
+    assert_eq!(
+        calendar.realized_makespan.to_bits(),
+        heap.realized_makespan.to_bits(),
+        "{what}: makespan bits"
+    );
+    assert_eq!(
+        calendar.flowtime.to_bits(),
+        heap.flowtime.to_bits(),
+        "{what}: flowtime bits"
+    );
+    assert_eq!(
+        calendar.events_processed, heap.events_processed,
+        "{what}: event count"
+    );
+    assert_eq!(
+        (
+            calendar.jobs_submitted,
+            calendar.jobs_completed,
+            calendar.jobs_dropped,
+            calendar.resubmissions,
+            calendar.job_failures,
+            calendar.machine_crashes,
+            calendar.wasted_ticks,
+        ),
+        (
+            heap.jobs_submitted,
+            heap.jobs_completed,
+            heap.jobs_dropped,
+            heap.resubmissions,
+            heap.job_failures,
+            heap.machine_crashes,
+            heap.wasted_ticks,
+        ),
+        "{what}: job/fault accounting"
+    );
+    assert_eq!(
+        (&calendar.telemetry.wait, &calendar.telemetry.response),
+        (&heap.telemetry.wait, &heap.telemetry.response),
+        "{what}: tick histograms"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random `(family, seed)` under MCT: the calendar queue replays the
+    /// `BinaryHeap` reference bit for bit, across every scenario family
+    /// and not just the pinned seed.
+    #[test]
+    fn queue_backends_are_bit_identical_for_any_family_and_seed(
+        family_idx in 0..ScenarioFamily::ALL.len(),
+        seed in 0u64..1000,
+    ) {
+        let family = ScenarioFamily::ALL[family_idx];
+        let run = |queue| {
+            let mut config = SimConfig::from_family(family);
+            config.queue = queue;
+            let mut scheduler = HeuristicScheduler::new(ConstructiveKind::Mct);
+            Simulation::new(config, seed).run(&mut scheduler)
+        };
+        assert_bit_identical(
+            &run(QueueKind::Calendar),
+            &run(QueueKind::Heap),
+            &format!("{family}/seed {seed}"),
+        );
+    }
 }
