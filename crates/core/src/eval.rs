@@ -557,11 +557,11 @@ impl EvalState {
     pub fn new(problem: &Problem, schedule: &Schedule) -> Self {
         debug_assert_eq!(schedule.nb_jobs(), problem.nb_jobs());
         let mut machines: Vec<MachineState> = (0..problem.nb_machines())
-            .map(|m| MachineState::new(problem.ready_ticks(m as u32)))
+            .map(|m| MachineState::new(problem.ready(m as u32)))
             .collect();
         for (job, machine) in schedule.iter() {
             machines[machine as usize].slots.push(Slot {
-                etc: problem.etc_ticks(job, machine),
+                etc: problem.etc(job, machine),
                 job,
             });
         }
@@ -614,7 +614,15 @@ impl EvalState {
     #[inline]
     #[must_use]
     pub fn completion(&self, machine: MachineId) -> f64 {
-        ticks::time(self.machines[machine as usize].completion())
+        ticks::time(self.completion_ticks(machine))
+    }
+
+    /// Completion time of one machine (Eq. 1) as the exact tick sum, for
+    /// planners that compare completions against [`Problem::etc`].
+    #[inline]
+    #[must_use]
+    pub fn completion_ticks(&self, machine: MachineId) -> i128 {
+        self.machines[machine as usize].completion()
     }
 
     /// Flowtime contributed by one machine.
@@ -737,14 +745,13 @@ impl EvalState {
                 Some((j, f, c, fl)) if j == job && f == from => (c, fl),
                 _ => {
                     let donor = &self.machines[from as usize];
-                    let stats =
-                        donor.peek_removed(donor.position_of(job, problem.etc_ticks(job, from)));
+                    let stats = donor.peek_removed(donor.position_of(job, problem.etc(job, from)));
                     cached = Some((job, from, stats.0, stats.1));
                     stats
                 }
             };
             let (rcpt_completion, rcpt_flowtime) = self.machines[to as usize].peek_inserted(Slot {
-                etc: problem.etc_ticks(job, to),
+                etc: problem.etc(job, to),
                 job,
             });
             out.push(self.totals_with_two(
@@ -776,8 +783,8 @@ impl EvalState {
         out.anchor_points.resize(self.machines.len(), usize::MAX);
         let ma = schedule.machine_of(anchor);
         let anchor_machine = &self.machines[ma as usize];
-        let anchor_pos = anchor_machine.position_of(anchor, problem.etc_ticks(anchor, ma));
-        let anchor_row = problem.etc_ticks_row(anchor);
+        let anchor_pos = anchor_machine.position_of(anchor, problem.etc(anchor, ma));
+        let anchor_row = problem.etc_row(anchor);
         // Per-batch hoists: the anchor side of the flowtime delta.
         let flowtime_others = self.flowtime_total - anchor_machine.flowtime;
         for &partner in partners {
@@ -789,7 +796,7 @@ impl EvalState {
             let (ca, fa) = anchor_machine.peek_replaced(
                 anchor_pos,
                 Slot {
-                    etc: problem.etc_ticks(partner, ma),
+                    etc: problem.etc(partner, ma),
                     job: partner,
                 },
             );
@@ -804,7 +811,7 @@ impl EvalState {
             if *point == usize::MAX {
                 *point = partner_machine.insertion_point(anchor_in);
             }
-            let partner_pos = partner_machine.position_of(partner, problem.etc_ticks(partner, mb));
+            let partner_pos = partner_machine.position_of(partner, problem.etc(partner, mb));
             let (cb, fb) = partner_machine.peek_replaced_at(partner_pos, anchor_in, *point);
             let flowtime = flowtime_others - partner_machine.flowtime + fa + fb;
             let mut makespan = ca.max(cb);
@@ -833,8 +840,8 @@ impl EvalState {
         }
         let donor_before = self.machines[from as usize].flowtime;
         let rcpt_before = self.machines[to as usize].flowtime;
-        self.machines[from as usize].remove(job, problem.etc_ticks(job, from));
-        self.machines[to as usize].insert(job, problem.etc_ticks(job, to));
+        self.machines[from as usize].remove(job, problem.etc(job, from));
+        self.machines[to as usize].insert(job, problem.etc(job, to));
         schedule.assign(job, to);
         self.flowtime_total += (self.machines[from as usize].flowtime - donor_before)
             + (self.machines[to as usize].flowtime - rcpt_before);
@@ -858,10 +865,10 @@ impl EvalState {
         }
         let a_before = self.machines[ma as usize].flowtime;
         let b_before = self.machines[mb as usize].flowtime;
-        self.machines[ma as usize].remove(job_a, problem.etc_ticks(job_a, ma));
-        self.machines[mb as usize].remove(job_b, problem.etc_ticks(job_b, mb));
-        self.machines[ma as usize].insert(job_b, problem.etc_ticks(job_b, ma));
-        self.machines[mb as usize].insert(job_a, problem.etc_ticks(job_a, mb));
+        self.machines[ma as usize].remove(job_a, problem.etc(job_a, ma));
+        self.machines[mb as usize].remove(job_b, problem.etc(job_b, mb));
+        self.machines[ma as usize].insert(job_b, problem.etc(job_b, ma));
+        self.machines[mb as usize].insert(job_a, problem.etc(job_a, mb));
         schedule.assign(job_a, mb);
         schedule.assign(job_b, ma);
         self.flowtime_total += (self.machines[ma as usize].flowtime - a_before)
@@ -892,7 +899,7 @@ impl EvalState {
         let (rcpt_completion, rcpt_flowtime) = self.machines[to as usize].simulate_merge(
             None,
             Some(Slot {
-                etc: problem.etc_ticks(job, to),
+                etc: problem.etc(job, to),
                 job,
             }),
         );
@@ -925,14 +932,14 @@ impl EvalState {
         let (ca, fa) = self.machines[ma as usize].simulate_merge(
             Some(job_a),
             Some(Slot {
-                etc: problem.etc_ticks(job_b, ma),
+                etc: problem.etc(job_b, ma),
                 job: job_b,
             }),
         );
         let (cb, fb) = self.machines[mb as usize].simulate_merge(
             Some(job_b),
             Some(Slot {
-                etc: problem.etc_ticks(job_a, mb),
+                etc: problem.etc(job_a, mb),
                 job: job_a,
             }),
         );
@@ -993,9 +1000,9 @@ impl EvalState {
     ) -> Objectives {
         let donor = &self.machines[from as usize];
         let (donor_completion, donor_flowtime) =
-            donor.peek_removed(donor.position_of(job, problem.etc_ticks(job, from)));
+            donor.peek_removed(donor.position_of(job, problem.etc(job, from)));
         let (rcpt_completion, rcpt_flowtime) = self.machines[to as usize].peek_inserted(Slot {
-            etc: problem.etc_ticks(job, to),
+            etc: problem.etc(job, to),
             job,
         });
         self.totals_with_two(
@@ -1020,17 +1027,17 @@ impl EvalState {
     ) -> Objectives {
         let machine_a = &self.machines[ma as usize];
         let (ca, fa) = machine_a.peek_replaced(
-            machine_a.position_of(job_a, problem.etc_ticks(job_a, ma)),
+            machine_a.position_of(job_a, problem.etc(job_a, ma)),
             Slot {
-                etc: problem.etc_ticks(job_b, ma),
+                etc: problem.etc(job_b, ma),
                 job: job_b,
             },
         );
         let machine_b = &self.machines[mb as usize];
         let (cb, fb) = machine_b.peek_replaced(
-            machine_b.position_of(job_b, problem.etc_ticks(job_b, mb)),
+            machine_b.position_of(job_b, problem.etc(job_b, mb)),
             Slot {
-                etc: problem.etc_ticks(job_a, mb),
+                etc: problem.etc(job_a, mb),
                 job: job_a,
             },
         );

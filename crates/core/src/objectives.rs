@@ -40,7 +40,7 @@ pub fn evaluate(problem: &Problem, schedule: &Schedule) -> Objectives {
     // Bucket tick ETC values per machine.
     let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); nb_machines];
     for (job, machine) in schedule.iter() {
-        buckets[machine as usize].push(problem.etc_ticks(job, machine));
+        buckets[machine as usize].push(problem.etc(job, machine));
     }
 
     let mut makespan = 0i128;
@@ -49,7 +49,7 @@ pub fn evaluate(problem: &Problem, schedule: &Schedule) -> Objectives {
         // SPT order. Ties in tick value commute exactly under integer
         // addition, so any tie order yields the same objectives.
         bucket.sort_unstable();
-        let mut clock = i128::from(problem.ready_ticks(m as u32));
+        let mut clock = i128::from(problem.ready(m as u32));
         for &etc in bucket.iter() {
             clock += i128::from(etc);
             flowtime += clock;

@@ -6,24 +6,23 @@ use crate::{ticks, FitnessWeights, JobId, MachineId, Objective, Objectives};
 
 /// An immutable, evaluation-optimised view of a scheduling instance.
 ///
-/// Owns a row-major copy of the ETC matrix plus the machine ready times and
-/// the fitness weights (Eq. 3), together with a parallel **fixed-point
-/// tick** copy of both (see [`crate::ticks`]) that the exact delta
-/// evaluator reads on its hot path. `Problem` is cheap to share by
-/// reference across threads (`Send + Sync`, no interior mutability); all
-/// algorithms in the workspace take `&Problem`.
+/// Owns a row-major **tick** copy of the ETC matrix and the machine ready
+/// times (see [`crate::ticks`]), quantised once from the f64
+/// [`GridInstance`], plus the fitness weights (Eq. 3). Ticks are the only
+/// time representation below the I/O boundary: the evaluator and the
+/// constructive planners read the same exact integers, and only the
+/// reported objectives convert back to f64. `Problem` is cheap to share
+/// by reference across threads (`Send + Sync`, no interior mutability);
+/// all algorithms in the workspace take `&Problem`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     name: String,
     nb_jobs: usize,
     nb_machines: usize,
-    /// Row-major: `etc[job * nb_machines + machine]`.
-    etc: Box<[f64]>,
-    ready: Box<[f64]>,
-    /// Row-major tick copy of `etc`, quantised once at construction so
-    /// every evaluation path reads identical integer inputs.
-    etc_ticks: Box<[i64]>,
-    ready_ticks: Box<[i64]>,
+    /// Row-major ETC in ticks: `etc[job * nb_machines + machine]`.
+    etc: Box<[i64]>,
+    /// Machine ready times in ticks.
+    ready: Box<[i64]>,
     weights: FitnessWeights,
     /// Response-blend objective layered over `weights`
     /// ([`Objective::classic`] = the historical behaviour, bit for bit).
@@ -37,21 +36,17 @@ impl Problem {
         Self::with_weights(instance, FitnessWeights::default())
     }
 
-    /// Builds a problem with explicit fitness weights.
+    /// Builds a problem with explicit fitness weights, quantising the
+    /// instance's ETC and ready times to ticks in one pass.
     #[must_use]
     pub fn with_weights(instance: &GridInstance, weights: FitnessWeights) -> Self {
-        let etc: Box<[f64]> = instance.etc().as_slice().into();
-        let ready: Box<[f64]> = instance.ready_times().into();
-        let etc_ticks = etc.iter().map(|&e| ticks::ticks(e)).collect();
-        let ready_ticks = ready.iter().map(|&r| ticks::ticks(r)).collect();
+        let quantise = |values: &[f64]| values.iter().map(|&v| ticks::ticks(v)).collect();
         Self {
             name: instance.name().to_owned(),
             nb_jobs: instance.nb_jobs(),
             nb_machines: instance.nb_machines(),
-            etc,
-            ready,
-            etc_ticks,
-            ready_ticks,
+            etc: quantise(instance.etc().as_slice()),
+            ready: quantise(instance.ready_times()),
             weights,
             objective: Objective::classic(),
         }
@@ -77,53 +72,33 @@ impl Problem {
         self.nb_machines
     }
 
-    /// Expected time to compute `job` on `machine`.
+    /// Expected time to compute `job` on `machine`, in ticks.
     #[inline]
     #[must_use]
-    pub fn etc(&self, job: JobId, machine: MachineId) -> f64 {
+    pub fn etc(&self, job: JobId, machine: MachineId) -> i64 {
         debug_assert!((job as usize) < self.nb_jobs && (machine as usize) < self.nb_machines);
         self.etc[job as usize * self.nb_machines + machine as usize]
     }
 
-    /// The ETC row of one job — contiguous, for scanning candidate
-    /// machines.
+    /// The ETC row of one job in ticks — contiguous, for scanning
+    /// candidate machines.
     #[inline]
     #[must_use]
-    pub fn etc_row(&self, job: JobId) -> &[f64] {
+    pub fn etc_row(&self, job: JobId) -> &[i64] {
         let start = job as usize * self.nb_machines;
         &self.etc[start..start + self.nb_machines]
     }
 
-    /// ETC of `job` on `machine` in evaluator ticks.
-    #[inline]
-    pub(crate) fn etc_ticks(&self, job: JobId, machine: MachineId) -> i64 {
-        debug_assert!((job as usize) < self.nb_jobs && (machine as usize) < self.nb_machines);
-        self.etc_ticks[job as usize * self.nb_machines + machine as usize]
-    }
-
-    /// The tick ETC row of one job — contiguous, for batched scoring.
-    #[inline]
-    pub(crate) fn etc_ticks_row(&self, job: JobId) -> &[i64] {
-        let start = job as usize * self.nb_machines;
-        &self.etc_ticks[start..start + self.nb_machines]
-    }
-
-    /// Ready time of `machine` in evaluator ticks.
-    #[inline]
-    pub(crate) fn ready_ticks(&self, machine: MachineId) -> i64 {
-        self.ready_ticks[machine as usize]
-    }
-
-    /// Ready time of `machine`.
+    /// Ready time of `machine`, in ticks.
     #[inline]
     #[must_use]
-    pub fn ready(&self, machine: MachineId) -> f64 {
+    pub fn ready(&self, machine: MachineId) -> i64 {
         self.ready[machine as usize]
     }
 
-    /// All ready times.
+    /// All ready times, in ticks.
     #[must_use]
-    pub fn ready_times(&self) -> &[f64] {
+    pub fn ready_times(&self) -> &[i64] {
         &self.ready
     }
 
@@ -186,46 +161,33 @@ impl Problem {
             .fitness(self.weights, objectives, self.nb_machines)
     }
 
-    /// Mean ETC of a job across machines (workload proxy).
-    #[must_use]
-    pub fn job_mean_etc(&self, job: JobId) -> f64 {
-        let row = self.etc_row(job);
-        row.iter().sum::<f64>() / row.len() as f64
-    }
-
-    /// Jobs sorted ascending by mean ETC (shortest first). Deterministic:
-    /// ties break by job id.
+    /// Jobs sorted ascending by workload (shortest first): the exact
+    /// tick sum of each ETC row, which orders jobs as their mean ETC
+    /// does. Deterministic: ties break by job id.
     #[must_use]
     pub fn jobs_by_workload(&self) -> Vec<JobId> {
-        let means: Vec<f64> = (0..self.nb_jobs as JobId)
-            .map(|j| self.job_mean_etc(j))
+        let sums: Vec<i128> = self
+            .etc
+            .chunks_exact(self.nb_machines)
+            .map(|row| row.iter().map(|&e| i128::from(e)).sum())
             .collect();
         let mut order: Vec<JobId> = (0..self.nb_jobs as JobId).collect();
-        order.sort_by(|&a, &b| {
-            means[a as usize]
-                .total_cmp(&means[b as usize])
-                .then(a.cmp(&b))
-        });
+        order.sort_by_key(|&job| (sums[job as usize], job));
         order
     }
 
-    /// Machines sorted ascending by mean ETC over all jobs (fastest
-    /// first). Deterministic: ties break by machine id.
+    /// Machines sorted ascending by the exact tick sum of their ETC
+    /// column (fastest first). Deterministic: ties break by machine id.
     #[must_use]
     pub fn machines_by_speed(&self) -> Vec<MachineId> {
-        let mut means = vec![0.0f64; self.nb_machines];
-        for job in 0..self.nb_jobs {
-            let row = &self.etc[job * self.nb_machines..(job + 1) * self.nb_machines];
-            for (m, &e) in row.iter().enumerate() {
-                means[m] += e;
+        let mut sums = vec![0i128; self.nb_machines];
+        for row in self.etc.chunks_exact(self.nb_machines) {
+            for (sum, &e) in sums.iter_mut().zip(row) {
+                *sum += i128::from(e);
             }
         }
         let mut order: Vec<MachineId> = (0..self.nb_machines as MachineId).collect();
-        order.sort_by(|&a, &b| {
-            means[a as usize]
-                .total_cmp(&means[b as usize])
-                .then(a.cmp(&b))
-        });
+        order.sort_by_key(|&machine| (sums[machine as usize], machine));
         order
     }
 }
@@ -248,10 +210,10 @@ mod tests {
         assert_eq!(p.name(), "p");
         assert_eq!(p.nb_jobs(), 3);
         assert_eq!(p.nb_machines(), 2);
-        assert_eq!(p.etc(1, 1), 6.0);
-        assert_eq!(p.etc_row(2), &[5.0, 10.0]);
-        assert_eq!(p.ready(0), 0.5);
-        assert_eq!(p.ready_times(), &[0.5, 0.0]);
+        assert_eq!(p.etc(1, 1), ticks::ticks(6.0));
+        assert_eq!(p.etc_row(2), &[ticks::ticks(5.0), ticks::ticks(10.0)]);
+        assert_eq!(p.ready(0), ticks::ticks(0.5));
+        assert_eq!(p.ready_times(), &[ticks::ticks(0.5), 0]);
     }
 
     #[test]

@@ -30,6 +30,12 @@
 //!   and divides by the exact power of two `2³²` (also exact), so the
 //!   reported `f64` objective is the correctly rounded value of the
 //!   exact tick sum.
+//!
+//! Ticks are the only time representation between the f64 I/O format
+//! (`GridInstance`) and the reported objectives: [`crate::Problem`] holds
+//! nothing else, the constructive heuristics plan on `i64` tick
+//! completions summed through [`add`], and the simulator's machine
+//! backlogs are exact tick sums.
 
 /// Binary point of the fixed-point representation: 1 tick = 2⁻³² time
 /// units.
@@ -50,6 +56,23 @@ pub fn ticks(value: f64) -> i64 {
     // The multiply is exact (power of two); `round` then fixes the
     // quantisation deterministically. `as` saturates and maps NaN to 0.
     (value * TICK_SCALE).round() as i64
+}
+
+/// Adds two tick values — a planner's running completion and one more
+/// ETC. Plain `i64` is exact and cheaper than an `i128` accumulator for
+/// the planners' hot loops; the only cost of the narrower type is a range
+/// limit, which this checks rather than wrapping or saturating.
+///
+/// # Panics
+///
+/// Panics if the sum leaves the `i64` tick range, i.e. more than `2³¹`
+/// time units of work on one machine.
+#[inline]
+#[must_use]
+pub fn add(a: i64, b: i64) -> i64 {
+    a.checked_add(b).unwrap_or_else(|| {
+        panic!("tick sum overflow: more than 2^31 time units of work on one machine")
+    })
 }
 
 /// Converts an `i128` tick aggregate back to time units. The cast

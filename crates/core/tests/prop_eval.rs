@@ -4,7 +4,7 @@
 //! peeks) on arbitrary problems and operation sequences, including CVB
 //! consistency classes, machines with ready times and heavy ETC ties.
 
-use cmags_core::{evaluate, EvalState, Objective, Problem, Schedule, ScoreBuf};
+use cmags_core::{evaluate, ticks, EvalState, Objective, Problem, Schedule, ScoreBuf};
 use cmags_etc::cvb::{self, CvbParams};
 use cmags_etc::{EtcMatrix, GridInstance, InstanceClass};
 use proptest::prelude::*;
@@ -151,33 +151,34 @@ proptest! {
         prop_assert_eq!(peek_sw, apply_sw.objectives());
     }
 
-    /// Structural invariants of the objectives themselves. Slack is
-    /// 1e-6: the evaluator quantises each input once to 2⁻³²-unit ticks
-    /// (≤ 2⁻³³ per value), so comparisons against f64-computed bounds
-    /// can drift by up to `terms · 2⁻³³` ≈ 1e-7 on these sizes.
+    /// Structural invariants of the objectives themselves. Every bound
+    /// is an exact `i128` tick sum converted with the monotone
+    /// `ticks::time`, so the comparisons need no slack.
     #[test]
     fn objective_invariants((problem, schedule) in problem_and_schedule()) {
         let obj = evaluate(&problem, &schedule);
         // Makespan bounds: at least the largest single assigned ETC (plus
         // that machine's ready) and at most ready_max + sum of all ETCs.
-        let mut max_single = 0.0f64;
-        let mut total: f64 = 0.0;
+        let mut max_single = 0i128;
+        let mut total = 0i128;
         for (job, machine) in schedule.iter() {
-            let e = problem.etc(job, machine);
-            max_single = max_single.max(problem.ready(machine) + e);
+            let e = i128::from(problem.etc(job, machine));
+            max_single = max_single.max(i128::from(problem.ready(machine)) + e);
             total += e;
         }
-        let ready_max = problem
-            .ready_times()
-            .iter()
-            .copied()
-            .fold(0.0f64, f64::max);
-        prop_assert!(obj.makespan >= max_single - 1e-6);
-        prop_assert!(obj.makespan <= ready_max + total + 1e-6);
+        let ready_max = i128::from(*problem.ready_times().iter().max().unwrap());
+        prop_assert!(obj.makespan >= ticks::time(max_single));
+        prop_assert!(obj.makespan <= ticks::time(ready_max + total));
         // Every job finishes no later than the makespan, so flowtime is at
         // most jobs * makespan; it is at least the sum of the assigned ETCs.
-        prop_assert!(obj.flowtime <= schedule.nb_jobs() as f64 * obj.makespan + 1e-6);
-        prop_assert!(obj.flowtime >= total - 1e-6);
+        let eval = EvalState::new(&problem, &schedule);
+        let makespan = (0..problem.nb_machines() as u32)
+            .map(|m| eval.completion_ticks(m))
+            .max()
+            .unwrap();
+        prop_assert_eq!(obj.makespan, ticks::time(makespan));
+        prop_assert!(obj.flowtime <= ticks::time(schedule.nb_jobs() as i128 * makespan));
+        prop_assert!(obj.flowtime >= ticks::time(total));
     }
 
     /// Batched move scoring is bit-identical to per-candidate peeks, for
@@ -381,23 +382,22 @@ proptest! {
     #[test]
     fn spt_flowtime_is_minimal((problem, schedule) in problem_and_schedule()) {
         let obj = evaluate(&problem, &schedule);
-        // Compute flowtime with longest-first sequencing by hand.
-        let mut lpt_flowtime = 0.0;
+        // Compute flowtime with longest-first sequencing by hand, as an
+        // exact tick sum: `ticks::time` is monotone, so no slack.
+        let mut lpt_flowtime = 0i128;
         for m in 0..problem.nb_machines() as u32 {
-            let mut etcs: Vec<f64> = schedule
+            let mut etcs: Vec<i64> = schedule
                 .iter()
                 .filter(|&(_, machine)| machine == m)
                 .map(|(job, _)| problem.etc(job, m))
                 .collect();
-            etcs.sort_by(|a, b| b.total_cmp(a));
-            let mut clock = problem.ready(m);
+            etcs.sort_unstable_by(|a, b| b.cmp(a));
+            let mut clock = i128::from(problem.ready(m));
             for e in etcs {
-                clock += e;
+                clock += i128::from(e);
                 lpt_flowtime += clock;
             }
         }
-        // 1e-6 slack: LPT is folded in raw f64 while the evaluator works
-        // on 2^-32-quantised ticks (see `objective_invariants`).
-        prop_assert!(obj.flowtime <= lpt_flowtime + 1e-6);
+        prop_assert!(obj.flowtime <= ticks::time(lpt_flowtime));
     }
 }

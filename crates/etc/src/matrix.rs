@@ -128,37 +128,6 @@ impl EtcMatrix {
         best
     }
 
-    /// Mean ETC of a job across machines — the conventional proxy for the
-    /// job's *workload* when, as in the Braun benchmark, no explicit
-    /// instruction counts exist.
-    #[must_use]
-    pub fn job_mean_etc(&self, job: usize) -> f64 {
-        let row = self.row(job);
-        row.iter().sum::<f64>() / row.len() as f64
-    }
-
-    /// Mean ETC of a machine across jobs — the conventional proxy for the
-    /// machine's *slowness* (larger means slower).
-    #[must_use]
-    pub fn machine_mean_etc(&self, machine: usize) -> f64 {
-        let mut sum = 0.0;
-        for job in 0..self.nb_jobs {
-            sum += self.get(job, machine);
-        }
-        sum / self.nb_jobs as f64
-    }
-
-    /// Machine indices sorted from fastest (smallest mean ETC) to slowest.
-    #[must_use]
-    pub fn machines_by_speed(&self) -> Vec<usize> {
-        let means: Vec<f64> = (0..self.nb_machines)
-            .map(|m| self.machine_mean_etc(m))
-            .collect();
-        let mut order: Vec<usize> = (0..self.nb_machines).collect();
-        order.sort_by(|&a, &b| means[a].total_cmp(&means[b]).then(a.cmp(&b)));
-        order
-    }
-
     /// Whether the matrix is consistent: one global machine ordering makes
     /// every row non-decreasing.
     ///
@@ -277,15 +246,6 @@ mod tests {
     fn fastest_machine_breaks_ties_low() {
         let m = EtcMatrix::from_rows(1, 3, vec![2.0, 1.0, 1.0]);
         assert_eq!(m.fastest_machine_for(0), (1, 1.0));
-    }
-
-    #[test]
-    fn means_are_correct() {
-        let m = small();
-        assert!((m.job_mean_etc(0) - 1.5).abs() < 1e-12);
-        assert!((m.machine_mean_etc(0) - 3.0).abs() < 1e-12);
-        assert!((m.machine_mean_etc(1) - 6.0).abs() < 1e-12);
-        assert_eq!(m.machines_by_speed(), vec![0, 1]);
     }
 
     #[test]

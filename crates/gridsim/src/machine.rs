@@ -34,6 +34,11 @@ pub struct RunningJob {
 }
 
 /// Execution state of one grid machine.
+///
+/// The queue is private so that every change to it also updates
+/// `backlog`, the exact tick sum of the queued jobs' raw ETCs on this
+/// machine: the machine's ready time is then one addition, with no memo
+/// to invalidate.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Static characteristics.
@@ -41,13 +46,11 @@ pub struct Machine {
     /// Job ids queued on this machine, executed front-to-back (the
     /// dispatcher enqueues each batch in SPT order). A deque: starts
     /// pop the front in O(1) whatever the backlog depth.
-    pub queue: VecDeque<u64>,
+    queue: VecDeque<u64>,
+    /// Σ of the queued jobs' raw ETCs on this machine, in ticks.
+    backlog: i64,
     /// The running job, if any.
     pub running: Option<RunningJob>,
-    /// Sum of busy time accumulated so far (for utilisation).
-    pub busy_time: f64,
-    /// Time the machine joined the grid.
-    pub joined_at: f64,
     /// Crash/repair draws taken so far: indexes the machine's dedicated
     /// reliability stream so every MTBF/MTTR gap is a fresh draw.
     pub crash_seq: u32,
@@ -61,113 +64,69 @@ pub struct Machine {
     /// The machine is quarantined from new assignments until this tick
     /// (blacklist probation); zero means never blacklisted.
     pub blacklisted_until: i64,
-    /// Memoized [`ready_time`](Self::ready_time): the exact left-fold
-    /// value of the last recompute, extended in place by
-    /// [`enqueue`](Self::enqueue) and dropped by
-    /// [`invalidate_ready`](Self::invalidate_ready) on any structural
-    /// change left of the queue tail (start/finish/fail/crash). Only
-    /// populated while a job is running — an idle machine's ready time
-    /// is the activation's `now`, which changes between queries.
-    ready_cache: Option<f64>,
 }
 
 impl Machine {
     /// Creates an idle machine.
     #[must_use]
-    pub fn new(spec: MachineSpec, now: f64) -> Self {
+    pub fn new(spec: MachineSpec) -> Self {
         Self {
             spec,
             queue: VecDeque::new(),
+            backlog: 0,
             running: None,
-            busy_time: 0.0,
-            joined_at: now,
             crash_seq: 0,
             next_crash: None,
             consecutive_failures: 0,
             blacklisted_until: 0,
-            ready_cache: None,
         }
     }
 
     /// When the machine will have finished everything currently committed
-    /// to it (running job + queue), given a closure mapping job id to its
-    /// ETC on this machine. This is the machine's **ready time** for the
-    /// next scheduler activation (paper §2). `finish_time` converts the
-    /// running job's tick finish to seconds (the simulation clock's
-    /// conversion, so snapshots agree with the event times).
-    ///
-    /// Memoized: the full queue fold runs only when the cache is cold
-    /// (the machine's commitments changed since the last activation);
-    /// an untouched machine answers in O(1) instead of rescanning its
-    /// whole backlog every activation. The cached value is the *exact*
-    /// fold — [`enqueue`](Self::enqueue) extends it bit-identically and
-    /// every structural change invalidates it — so snapshots are
-    /// bit-identical with and without the cache (debug builds assert
-    /// coherence against [`ready_time_recomputed`](Self::ready_time_recomputed)
-    /// at every chaos-harness invariant check).
+    /// to it (running job + queue), in ticks: the running job's planned
+    /// completion (or `now` when idle) plus the queue's backlog. This is
+    /// the machine's **ready time** for the next scheduler activation
+    /// (paper §2).
     #[must_use]
-    pub fn ready_time(&mut self, now: f64, etc_of: impl Fn(u64) -> f64) -> f64 {
-        if let Some(cached) = self.ready_cache {
-            debug_assert_eq!(
-                cached.to_bits(),
-                self.ready_time_recomputed(now, &etc_of).to_bits(),
-                "stale ready-time cache on machine {}",
-                self.spec.id
-            );
-            return cached;
-        }
-        let ready = self.ready_time_recomputed(now, etc_of);
-        if self.running.is_some() {
-            // Only a busy machine's ready time is a function of its own
-            // state alone (planned completion + queue); an idle one
-            // starts the fold at the caller's `now`.
-            self.ready_cache = Some(ready);
-        }
-        ready
+    pub fn ready_time(&self, now: i64) -> i64 {
+        // Plan against the intended completion: an attempt that will
+        // fail early still owes the machine the planned work (the retry
+        // lands somewhere, usually here).
+        let base = self.running.map_or(now, |running| running.planned);
+        cmags_core::ticks::add(base, self.backlog)
     }
 
-    /// The uncached ready-time fold: the reference the memo in
-    /// [`ready_time`](Self::ready_time) is pinned against.
+    /// Σ of the queued jobs' raw ETCs on this machine, in ticks.
     #[must_use]
-    pub fn ready_time_recomputed(&self, now: f64, etc_of: impl Fn(u64) -> f64) -> f64 {
-        let mut ready = match self.running {
-            // Plan against the intended completion: an attempt that
-            // will fail early still owes the machine the planned work
-            // (the retry lands somewhere, usually here).
-            Some(running) => crate::sim::ticks_to_time(running.planned),
-            None => now,
-        };
-        for &job in &self.queue {
-            ready += etc_of(job);
-        }
-        ready
+    pub fn backlog(&self) -> i64 {
+        self.backlog
     }
 
-    /// Appends a job to the machine's queue, extending the memoized
-    /// ready time by the job's ETC — the exact operation the full fold
-    /// would perform on its last element, so the cache stays
-    /// bit-identical to a recompute.
-    pub fn enqueue(&mut self, job: u64, etc: f64) {
+    /// The queued job ids, front first.
+    #[must_use]
+    pub fn queue(&self) -> &VecDeque<u64> {
+        &self.queue
+    }
+
+    /// Appends a job whose raw ETC on this machine is `etc` ticks.
+    pub fn enqueue(&mut self, job: u64, etc: i64) {
         self.queue.push_back(job);
-        if let Some(cached) = &mut self.ready_cache {
-            *cached += etc;
-        }
+        self.backlog = cmags_core::ticks::add(self.backlog, etc);
     }
 
-    /// Drops the memoized ready time. Must be called whenever the
-    /// running job or the queue changes anywhere left of the tail
-    /// (job start, finish, transient failure, crash, recovery,
-    /// resubmission) — appends go through [`enqueue`](Self::enqueue)
-    /// instead.
-    pub fn invalidate_ready(&mut self) {
-        self.ready_cache = None;
+    /// Pops the front job, taking its raw ETC (`etc_of`, in ticks — the
+    /// value [`enqueue`](Self::enqueue) was given) off the backlog.
+    pub fn dequeue(&mut self, etc_of: impl FnOnce(u64) -> i64) -> Option<u64> {
+        let job = self.queue.pop_front()?;
+        self.backlog -= etc_of(job);
+        Some(job)
     }
 
-    /// The memoized ready time, if valid — exposed for the
-    /// chaos-harness coherence check.
-    #[must_use]
-    pub fn ready_cache(&self) -> Option<f64> {
-        self.ready_cache
+    /// Empties the queue, returning the job ids in order, for a crash or
+    /// departure that resubmits them.
+    pub fn take_queue(&mut self) -> VecDeque<u64> {
+        self.backlog = 0;
+        std::mem::take(&mut self.queue)
     }
 
     /// Whether the machine has nothing to do.
@@ -180,7 +139,7 @@ impl Machine {
 /// The set of alive machines: a slab indexed by id, with a sorted
 /// alive-id list for deterministic iteration. Crashed machines move to
 /// a disjoint sorted `down` list — quarantined but not departed: their
-/// slot (identity, accumulated busy time, reliability stream cursor)
+/// slot (identity, reliability stream cursor, blacklist state)
 /// survives until [`recover`](Self::recover) re-admits them.
 #[derive(Debug, Default)]
 pub struct MachinePool {
@@ -212,9 +171,9 @@ impl MachinePool {
 
     /// Adds a machine with the given spec characteristics, returning its
     /// id.
-    pub fn join(&mut self, slowness: f64, now: f64) -> u64 {
+    pub fn join(&mut self, slowness: f64) -> u64 {
         let id = self.reserve_id();
-        self.join_reserved(id, slowness, now);
+        self.join_reserved(id, slowness);
         id
     }
 
@@ -224,13 +183,13 @@ impl MachinePool {
     /// # Panics
     ///
     /// Panics if the id was never reserved or is already alive.
-    pub fn join_reserved(&mut self, id: u64, slowness: f64, now: f64) {
+    pub fn join_reserved(&mut self, id: u64, slowness: f64) {
         let slot = self
             .slots
             .get_mut(id as usize)
             .expect("join of an unreserved machine id");
         assert!(slot.is_none(), "machine {id} is already alive");
-        *slot = Some(Machine::new(MachineSpec { id, slowness }, now));
+        *slot = Some(Machine::new(MachineSpec { id, slowness }));
         // Ids are issued in increasing order and a reserved id joins
         // before the next reservation is made, so pushing keeps the
         // alive list sorted.
@@ -305,8 +264,7 @@ impl MachinePool {
         let machine = self.slots[id as usize]
             .as_mut()
             .expect("crashed machine has a slot");
-        machine.invalidate_ready();
-        Some((std::mem::take(&mut machine.queue), machine.running.take()))
+        Some((machine.take_queue(), machine.running.take()))
     }
 
     /// Re-admits a repaired machine to the alive list under its
@@ -387,8 +345,8 @@ mod tests {
     #[test]
     fn join_assigns_increasing_ids() {
         let mut pool = MachinePool::new();
-        let a = pool.join(2.0, 0.0);
-        let b = pool.join(3.0, 1.0);
+        let a = pool.join(2.0);
+        let b = pool.join(3.0);
         assert_eq!((a, b), (0, 1));
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.ids(), &[0, 1]);
@@ -397,132 +355,91 @@ mod tests {
     #[test]
     fn leave_returns_machine_with_work() {
         let mut pool = MachinePool::new();
-        let id = pool.join(1.0, 0.0);
-        pool.get_mut(id).unwrap().queue.push_back(42);
+        let id = pool.join(1.0);
+        pool.get_mut(id).unwrap().enqueue(42, 1);
         let gone = pool.leave(id).unwrap();
-        assert_eq!(gone.queue, vec![42]);
+        assert_eq!(gone.queue(), &[42]);
         assert!(pool.is_empty());
         assert!(pool.leave(id).is_none());
     }
 
     #[test]
     fn ready_time_accounts_running_and_queue() {
-        let mut machine = Machine::new(
-            MachineSpec {
-                id: 0,
-                slowness: 1.0,
-            },
-            0.0,
-        );
+        let ticks = crate::sim::time_to_ticks;
+        let mut machine = Machine::new(MachineSpec {
+            id: 0,
+            slowness: 1.0,
+        });
         // Idle: ready now.
-        assert_eq!(machine.ready_time(5.0, |_| 1.0), 5.0);
+        assert_eq!(machine.ready_time(ticks(5.0)), ticks(5.0));
         // Running until t=10 plus two queued jobs of ETC 3 each.
         machine.running = Some(RunningJob {
             job: 1,
-            finish: crate::sim::time_to_ticks(10.0),
-            planned: crate::sim::time_to_ticks(10.0),
+            finish: ticks(10.0),
+            planned: ticks(10.0),
             finish_event: 0,
         });
-        machine.queue = VecDeque::from([2, 3]);
-        assert_eq!(machine.ready_time(5.0, |_| 3.0), 16.0);
+        machine.enqueue(2, ticks(3.0));
+        machine.enqueue(3, ticks(3.0));
+        assert_eq!(machine.ready_time(ticks(5.0)), ticks(16.0));
     }
 
     #[test]
     fn ready_time_uses_the_planned_completion_under_failure() {
         // An attempt that will fail at t=4 still owes the machine its
         // planned work until t=10: snapshots plan against intent.
-        let mut machine = Machine::new(
-            MachineSpec {
-                id: 0,
-                slowness: 1.0,
-            },
-            0.0,
-        );
+        let ticks = crate::sim::time_to_ticks;
+        let mut machine = Machine::new(MachineSpec {
+            id: 0,
+            slowness: 1.0,
+        });
         machine.running = Some(RunningJob {
             job: 1,
-            finish: crate::sim::time_to_ticks(4.0),
-            planned: crate::sim::time_to_ticks(10.0),
+            finish: ticks(4.0),
+            planned: ticks(10.0),
             finish_event: 0,
         });
-        assert_eq!(machine.ready_time(0.0, |_| 0.0), 10.0);
+        assert_eq!(machine.ready_time(0), ticks(10.0));
     }
 
     #[test]
-    fn ready_cache_extends_and_invalidates_bit_identically() {
-        let mut machine = Machine::new(
-            MachineSpec {
-                id: 3,
-                slowness: 2.0,
-            },
-            0.0,
-        );
-        let etc_of = |job: u64| 0.1 * (job as f64 + 1.0);
-        // Idle machines never cache: the fold starts at `now`.
-        assert_eq!(machine.ready_time(5.0, etc_of), 5.0);
-        assert!(machine.ready_cache().is_none());
-        machine.running = Some(RunningJob {
-            job: 0,
-            finish: crate::sim::time_to_ticks(7.0),
-            planned: crate::sim::time_to_ticks(7.0),
-            finish_event: 0,
-        });
-        // First busy query populates the memo.
-        let first = machine.ready_time(0.0, etc_of);
-        assert_eq!(machine.ready_cache(), Some(first));
-        // Appends extend the memo exactly as a recompute would fold.
+    fn backlog_is_the_exact_sum_of_the_queue() {
+        let mut pool = MachinePool::new();
+        let a = pool.join(1.0);
+        pool.join(1.0);
+        let etc_of = |job: u64| crate::sim::time_to_ticks(0.1 * (job as f64 + 1.0));
+        let machine = pool.get_mut(a).unwrap();
         for job in 1..=9 {
             machine.enqueue(job, etc_of(job));
-            assert_eq!(
-                machine.ready_cache().unwrap().to_bits(),
-                machine.ready_time_recomputed(0.0, etc_of).to_bits(),
-                "cache must stay the exact left-fold after enqueue {job}"
-            );
         }
-        // Structural change: drop and re-derive.
-        machine.queue.pop_front();
-        machine.invalidate_ready();
-        assert!(machine.ready_cache().is_none());
-        let again = machine.ready_time(0.0, etc_of);
+        assert_eq!(machine.backlog(), (1..=9).map(etc_of).sum::<i64>());
+        assert_eq!(machine.dequeue(etc_of), Some(1));
+        assert_eq!(machine.backlog(), (2..=9).map(etc_of).sum::<i64>());
+        let (orphans, _) = pool.crash(a).unwrap();
+        assert_eq!(orphans, (2..=9).collect::<Vec<_>>());
         assert_eq!(
-            again.to_bits(),
-            machine.ready_time_recomputed(0.0, etc_of).to_bits()
+            pool.get(a).unwrap().backlog(),
+            0,
+            "a crash empties the backlog"
         );
-    }
-
-    #[test]
-    fn crash_invalidates_ready_cache() {
-        let mut pool = MachinePool::new();
-        let a = pool.join(1.0, 0.0);
-        pool.join(1.0, 0.0);
-        let machine = pool.get_mut(a).unwrap();
-        machine.running = Some(RunningJob {
-            job: 1,
-            finish: crate::sim::time_to_ticks(4.0),
-            planned: crate::sim::time_to_ticks(4.0),
-            finish_event: 0,
-        });
-        let _ = machine.ready_time(0.0, |_| 1.0);
-        assert!(pool.get(a).unwrap().ready_cache().is_some());
-        pool.crash(a);
-        assert!(pool.get(a).unwrap().ready_cache().is_none());
     }
 
     #[test]
     fn ids_do_not_recycle() {
         let mut pool = MachinePool::new();
-        let a = pool.join(1.0, 0.0);
+        let a = pool.join(1.0);
         pool.leave(a);
-        let b = pool.join(1.0, 1.0);
+        let b = pool.join(1.0);
         assert_ne!(a, b, "machine ids must stay unique across churn");
     }
 
     #[test]
     fn crash_quarantines_without_departing() {
         let mut pool = MachinePool::new();
-        let a = pool.join(1.0, 0.0);
-        let b = pool.join(2.0, 0.0);
-        pool.get_mut(a).unwrap().queue.push_back(5);
-        pool.get_mut(a).unwrap().busy_time = 7.5;
+        let a = pool.join(1.0);
+        let b = pool.join(2.0);
+        pool.get_mut(a).unwrap().enqueue(5, 1);
+        pool.get_mut(a).unwrap().crash_seq = 3;
         let (orphans, running) = pool.crash(a).unwrap();
         assert_eq!(orphans, vec![5]);
         assert!(running.is_none());
@@ -535,7 +452,7 @@ mod tests {
         assert_eq!(pool.ids(), &[a, b], "recovery restores id order");
         assert!(pool.down_ids().is_empty());
         // Identity survives the crash: accumulated state is intact.
-        assert_eq!(pool.get(a).unwrap().busy_time, 7.5);
+        assert_eq!(pool.get(a).unwrap().crash_seq, 3);
         pool.check_consistency();
     }
 
@@ -543,22 +460,22 @@ mod tests {
     #[should_panic(expected = "still holds work")]
     fn consistency_rejects_a_down_machine_with_work() {
         let mut pool = MachinePool::new();
-        let a = pool.join(1.0, 0.0);
-        pool.join(2.0, 0.0);
+        let a = pool.join(1.0);
+        pool.join(2.0);
         pool.crash(a);
-        pool.get_mut(a).unwrap().queue.push_back(9);
+        pool.get_mut(a).unwrap().enqueue(9, 1);
         pool.check_consistency();
     }
 
     #[test]
     fn reserved_ids_join_later() {
         let mut pool = MachinePool::new();
-        pool.join(1.0, 0.0);
+        pool.join(1.0);
         let reserved = pool.reserve_id();
         assert_eq!(reserved, 1);
         assert_eq!(pool.len(), 1, "a reservation is not alive yet");
         assert!(pool.get(reserved).is_none());
-        pool.join_reserved(reserved, 4.0, 2.0);
+        pool.join_reserved(reserved, 4.0);
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.get(reserved).unwrap().spec.slowness, 4.0);
         assert_eq!(pool.ids(), &[0, 1]);

@@ -6,9 +6,10 @@
 //! an exact integer assertion, and two queue backends can be pinned to
 //! agree bit-for-bit. The event hot loop is allocation-free in steady
 //! state: job state lives in an id-indexed arena, machine state in an
-//! id-indexed slab, and every per-activation buffer (ETC snapshot,
-//! ready times, per-machine buckets) is reusable scratch owned by the
-//! [`Simulation`].
+//! id-indexed slab, and every per-activation buffer (snapshot name, ETC
+//! snapshot, ready times, per-machine buckets) is reusable scratch owned
+//! by the [`Simulation`]. Each machine keeps its queued work as an exact
+//! tick backlog, so a snapshot's ready time is one addition.
 //!
 //! ## Observability
 //!
@@ -220,11 +221,13 @@ impl SimConfig {
 
 /// Reusable per-activation buffers of [`Simulation::dispatch_pending`]:
 /// the dispatcher clears and refills these instead of allocating fresh
-/// vectors every activation (the ETC/ready buffers round-trip through
-/// the `GridInstance` handed to the scheduler and come back via
+/// vectors every activation (the name, ETC and ready buffers round-trip
+/// through the `GridInstance` handed to the scheduler and come back via
 /// [`GridInstance::into_parts`]).
 #[derive(Debug, Default)]
 struct DispatchScratch {
+    /// Snapshot instance name.
+    name: String,
     /// Alive machine ids (snapshot column order).
     machine_ids: Vec<u64>,
     /// Specs of the alive machines, in column order.
@@ -311,7 +314,7 @@ impl Simulation {
         let mut pool = MachinePool::new();
         for _ in 0..config.initial_machines {
             let slowness = config.world.draw_slowness(&mut rng);
-            pool.join(slowness, 0.0);
+            pool.join(slowness);
         }
         let horizon = time_to_ticks(config.arrival_horizon);
         let interval = time_to_ticks(config.activation_interval);
@@ -338,7 +341,10 @@ impl Simulation {
             next_job_id: 0,
             report: SimReport::default(),
             last_avail_update: 0,
-            scratch: DispatchScratch::default(),
+            scratch: DispatchScratch {
+                name: "activation".to_owned(),
+                ..DispatchScratch::default()
+            },
             fault_seed: seed,
             awaiting_retry: 0,
             ckpt_ticks,
@@ -629,26 +635,26 @@ impl Simulation {
         self.pool.check_consistency();
         let mut in_flight = self.pending.len() as u64 + self.awaiting_retry;
         for machine in self.pool.iter() {
-            in_flight += machine.queue.len() as u64 + u64::from(machine.running.is_some());
+            in_flight += machine.queue().len() as u64 + u64::from(machine.running.is_some());
         }
-        // Debug builds re-derive every memoized ready time from scratch
-        // at each activation and require bit-equality — the regression
-        // net under the chaos harness for the incremental cache.
+        // Debug builds re-derive every machine's backlog from its queue
+        // at each activation — the regression net under the chaos
+        // harness for the enqueue/dequeue bookkeeping.
         #[cfg(debug_assertions)]
         {
             let world = self.config.world;
             for machine in self.pool.iter() {
-                if let Some(cached) = machine.ready_cache() {
-                    let recomputed = machine.ready_time_recomputed(self.now_f, |job| {
-                        world.etc(&self.jobs.get(job).spec, &machine.spec)
-                    });
-                    assert_eq!(
-                        cached.to_bits(),
-                        recomputed.to_bits(),
-                        "ready-time cache diverged on machine {}",
-                        machine.spec.id
-                    );
-                }
+                let backlog: i64 = machine
+                    .queue()
+                    .iter()
+                    .map(|&job| time_to_ticks(world.etc(&self.jobs.get(job).spec, &machine.spec)))
+                    .sum();
+                assert_eq!(
+                    machine.backlog(),
+                    backlog,
+                    "backlog diverged on machine {}",
+                    machine.spec.id
+                );
             }
         }
         assert_eq!(
@@ -667,10 +673,10 @@ impl Simulation {
             .then(|| PhaseTimer::start(Phase::SnapshotBuild));
         let mut scratch = std::mem::take(&mut self.scratch);
         let world = self.config.world;
-        let now_f = self.now_f;
 
         // Columns: alive machines in id order, with specs and relative
-        // ready times gathered in one O(machines + queued) pass.
+        // ready times (planned completion + exact tick backlog) gathered
+        // in one O(machines) pass.
         // Blacklisted machines (too many consecutive failures, still on
         // probation) are excluded from the snapshot — unless that would
         // empty it, in which case the full pool is used so the system
@@ -687,21 +693,18 @@ impl Simulation {
         }
         scratch.specs.clear();
         scratch.ready.clear();
-        let jobs = &self.jobs;
         for &id in &scratch.machine_ids {
-            let machine = self.pool.get_mut(id).expect("alive machine");
-            let machine_spec = machine.spec;
-            scratch.specs.push(machine_spec);
-            // Memoized per machine: an untouched backlog answers in
-            // O(1); only machines whose commitments changed since the
-            // last activation pay the queue fold.
-            let ready_abs =
-                machine.ready_time(now_f, |job| world.etc(&jobs.get(job).spec, &machine_spec));
+            let machine = self.pool.get(id).expect("alive machine");
+            scratch.specs.push(machine.spec);
             // Ready times are relative to "now" for the snapshot.
-            scratch.ready.push((ready_abs - now_f).max(0.0));
+            let ready = machine.ready_time(now_ticks);
+            scratch
+                .ready
+                .push(ticks_to_time((ready - now_ticks).max(0)));
         }
 
         // Rows: pending jobs in arrival order.
+        let jobs = &self.jobs;
         scratch.job_ids.clear();
         scratch.job_ids.append(&mut self.pending);
         let (nb_jobs, nb_machines) = (scratch.job_ids.len(), scratch.machine_ids.len());
@@ -728,7 +731,8 @@ impl Simulation {
         }
         let etc = EtcMatrix::from_rows(nb_jobs, nb_machines, std::mem::take(&mut scratch.etc));
         let ready = std::mem::take(&mut scratch.ready);
-        let instance = GridInstance::with_ready_times(format!("activation@{now_f:.0}"), etc, ready);
+        let name = std::mem::take(&mut scratch.name);
+        let instance = GridInstance::with_ready_times(name, etc, ready);
         if let Some(timer) = snapshot_timer {
             timer.stop(&mut self.report.telemetry.phases);
         }
@@ -751,7 +755,8 @@ impl Simulation {
         let dispatch_timer = self.profile_on.then(|| PhaseTimer::start(Phase::Dispatch));
         self.report.telemetry.dispatches += nb_jobs as u64;
         // Recycle the snapshot buffers for the next activation.
-        let (_name, etc, ready) = instance.into_parts();
+        let (name, etc, ready) = instance.into_parts();
+        scratch.name = name;
         scratch.etc = etc.into_rows();
         scratch.ready = ready;
 
@@ -787,10 +792,10 @@ impl Simulation {
             let machine_spec = machine.spec;
             for &row in &scratch.buckets[col] {
                 let job = scratch.job_ids[row as usize];
-                // Extend the machine's memoized ready time by the raw
-                // ETC — the same value the snapshot fold uses (the
-                // inflated ETC is a planning-only view).
-                machine.enqueue(job, world.etc(&jobs.get(job).spec, &machine_spec));
+                // The backlog carries the raw ETC (the inflated ETC is a
+                // planning-only view); `kick` takes off the same value.
+                let etc = world.etc(&jobs.get(job).spec, &machine_spec);
+                machine.enqueue(job, time_to_ticks(etc));
             }
             self.kick(machine_id);
         }
@@ -809,18 +814,18 @@ impl Simulation {
         let Some(machine) = self.pool.get(machine_id) else {
             return;
         };
-        if machine.running.is_some() || machine.queue.is_empty() {
+        if machine.running.is_some() || machine.queue().is_empty() {
             return;
         }
         let machine_spec = machine.spec;
         let noise = self.draw_noise();
         let world = self.config.world;
+        let jobs = &self.jobs;
         let job = self
             .pool
             .get_mut(machine_id)
             .expect("machine alive: checked above")
-            .queue
-            .pop_front()
+            .dequeue(|job| time_to_ticks(world.etc(&jobs.get(job).spec, &machine_spec)))
             .expect("non-empty queue: checked above");
         let state = self.jobs.get_mut(job);
         state.starts = state.starts.saturating_add(1);
@@ -876,14 +881,9 @@ impl Simulation {
             planned,
             finish_event,
         });
-        // The fold's base (planned completion) and the queue's front
-        // both changed: the memoized ready time is stale.
-        machine.invalidate_ready();
         // Busy time runs until the scheduled event (failure or finish);
         // a crash or departure mid-attempt refunds the unexecuted tail.
-        let busy = ticks_to_time(finish - self.now);
-        machine.busy_time += busy;
-        self.report.busy_machine_seconds += busy;
+        self.report.busy_machine_seconds += ticks_to_time(finish - self.now);
         self.jobs.get_mut(job).started.get_or_insert(self.now);
     }
 
@@ -909,7 +909,6 @@ impl Simulation {
             .take()
             .expect("JobFinish for an idle machine must have been cancelled");
         debug_assert_eq!(running.job, job, "finish/running job mismatch");
-        machine.invalidate_ready();
         // A success clears the machine's blacklist state.
         machine.consecutive_failures = 0;
         machine.blacklisted_until = 0;
@@ -959,7 +958,6 @@ impl Simulation {
             .take()
             .expect("JobFail for an idle machine must have been cancelled");
         debug_assert_eq!(running.job, job, "fail/running job mismatch");
-        machine.invalidate_ready();
         self.report.job_failures += 1;
         self.report
             .fold_fault(&[1, job, machine_id, self.now as u64]);
@@ -1115,11 +1113,7 @@ impl Simulation {
             // the unexecuted busy tail, and send the job down the same
             // retry path as a transient failure.
             self.events.cancel(running.finish_event);
-            let refund = ticks_to_time(running.finish - self.now);
-            self.report.busy_machine_seconds -= refund;
-            if let Some(machine) = self.pool.get_mut(machine_id) {
-                machine.busy_time -= refund;
-            }
+            self.report.busy_machine_seconds -= ticks_to_time(running.finish - self.now);
             self.report.job_failures += 1;
             self.report
                 .fold_fault(&[4, running.job, machine_id, self.now as u64]);
@@ -1245,7 +1239,7 @@ impl Simulation {
                 .u64("machine", machine_id)
                 .end();
         }
-        self.pool.join_reserved(machine_id, slowness, self.now_f);
+        self.pool.join_reserved(machine_id, slowness);
         // Next join.
         let gap = exp_gap(&mut self.rng, self.config.churn.join_rate());
         if self.now + time_to_ticks(gap) <= self.horizon {
@@ -1280,14 +1274,14 @@ impl Simulation {
                 .u64("machine", victim)
                 .end();
         }
-        if let Some(dead) = self.pool.leave(victim) {
+        if let Some(mut dead) = self.pool.leave(victim) {
             // A departed machine's crash clock dies with it.
             if let Some(token) = dead.next_crash {
                 self.events.cancel(token);
             }
             // Kill the running job (non-preemptive loss), retract its
             // finish event, and resubmit it and the queue.
-            let mut orphans = dead.queue;
+            let mut orphans = dead.take_queue();
             if let Some(running) = dead.running {
                 self.events.cancel(running.finish_event);
                 let refund = ticks_to_time(running.finish - self.now);
@@ -1699,6 +1693,13 @@ mod tests {
             sim.report.jobs_submitted += 1;
         }
         sim.next_job_id = 4;
+        let (world, spec) = (
+            sim.config.world,
+            sim.pool.get(0).expect("machine 0 alive").spec,
+        );
+        let etc: Vec<i64> = (0..4)
+            .map(|job| time_to_ticks(world.etc(&sim.jobs.get(job).spec, &spec)))
+            .collect();
         let machine = sim.pool.get_mut(0).expect("machine 0 alive");
         machine.running = Some(RunningJob {
             job: 0,
@@ -1708,7 +1709,8 @@ mod tests {
                 .events
                 .push(time_to_ticks(50.0), Event::JobFinish { machine: 0, job: 0 }),
         });
-        machine.queue.extend([1, 2]);
+        machine.enqueue(1, etc[1]);
+        machine.enqueue(2, etc[2]);
         sim.jobs.get_mut(0).started = Some(0);
         sim.pending.push(3);
         sim.depart_machine(0);

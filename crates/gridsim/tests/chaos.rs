@@ -266,15 +266,14 @@ fn catalog_sweep_with_failure_overlay_preserves_invariants() {
 }
 
 #[test]
-fn ready_time_cache_agrees_with_recompute_under_chaos() {
-    // Regression net for the incremental ready-time cache
-    // (`Machine::ready_time`): in debug builds the simulator re-derives
-    // every memoized ready time from scratch at each activation's
-    // invariant check and asserts bit-equality, so this fault-heavy
-    // sweep fails loudly if any enqueue/kick/finish/crash/recover path
-    // forgets to extend or invalidate the memo. The cross-backend
-    // digest comparison additionally pins that the cache cannot perturb
-    // the event stream in release builds.
+fn machine_backlog_agrees_with_queue_sum_under_chaos() {
+    // Regression net for the exact tick backlog behind
+    // `Machine::ready_time`: in debug builds the simulator re-derives
+    // every machine's backlog from its queue at each activation's
+    // invariant check and asserts equality, so this fault-heavy sweep
+    // fails loudly if any enqueue/start/crash/departure path lets the
+    // running sum drift from the queue. The cross-backend digest
+    // comparison additionally pins the event stream in release builds.
     let failures = FailureModel::Faulty {
         job_fail_rate: 5e-4,
         mtbf: 1e4,
@@ -293,11 +292,11 @@ fn ready_time_cache_agrees_with_recompute_under_chaos() {
     for seed in [0u64, 11, 23] {
         let calendar = run_chaos(failures, recovery, seed, QueueKind::Calendar);
         let heap = run_chaos(failures, recovery, seed, QueueKind::Heap);
-        assert_bit_identical(&calendar, &heap, "ready-cache chaos run");
-        assert_conserved(&calendar, "ready-cache chaos run");
+        assert_bit_identical(&calendar, &heap, "backlog chaos run");
+        assert_conserved(&calendar, "backlog chaos run");
         assert!(
             calendar.job_failures > 0 || calendar.machine_crashes > 0,
-            "seed {seed}: sweep must exercise the fault-driven invalidation paths"
+            "seed {seed}: sweep must exercise the fault-driven queue paths"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! These are the natural schedulers for *online* settings and serve as
 //! cheap baselines in the dynamic simulator.
 
-use cmags_core::{MachineId, Problem, Schedule};
+use cmags_core::{ticks, MachineId, Problem, Schedule};
 use rand::RngCore;
 
 use super::{best_completion_for, Constructive};
@@ -22,7 +22,7 @@ impl Constructive for Mct {
     }
 
     fn build_seeded(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Schedule {
-        let mut completions: Vec<f64> = problem.ready_times().to_vec();
+        let mut completions = problem.ready_times().to_vec();
         let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
         for job in 0..problem.nb_jobs() as u32 {
             let (machine, ct) = best_completion_for(problem, &completions, job);
@@ -76,7 +76,7 @@ impl Constructive for Olb {
     }
 
     fn build_seeded(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Schedule {
-        let mut completions: Vec<f64> = problem.ready_times().to_vec();
+        let mut completions = problem.ready_times().to_vec();
         let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
         for job in 0..problem.nb_jobs() as u32 {
             let mut machine = 0 as MachineId;
@@ -86,7 +86,8 @@ impl Constructive for Olb {
                 }
             }
             schedule.assign(job, machine);
-            completions[machine as usize] += problem.etc(job, machine);
+            completions[machine as usize] =
+                ticks::add(completions[machine as usize], problem.etc(job, machine));
         }
         schedule
     }
@@ -134,6 +135,16 @@ mod tests {
         let met = evaluate(&p, &Met.build(&p)).makespan;
         assert!(mct < olb, "MCT {mct} vs OLB {olb}");
         assert!(mct < met, "MCT {mct} vs MET {met}");
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2^31 time units of work on one machine")]
+    fn mct_panics_when_a_completion_leaves_the_tick_range() {
+        // Every ETC fits the tick range on its own, but the third job's
+        // candidate completion on either busy machine is 3·10⁹ > 2³¹.
+        let etc = EtcMatrix::from_rows(3, 2, vec![1.5e9, 1.6e9, 1.6e9, 1.5e9, 1.5e9, 1.5e9]);
+        let p = cmags_core::Problem::from_instance(&GridInstance::new("huge", etc));
+        let _ = Mct.build(&p);
     }
 
     #[test]

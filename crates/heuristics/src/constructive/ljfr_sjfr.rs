@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use cmags_core::{MachineId, Problem, Schedule};
+use cmags_core::{ticks, MachineId, Problem, Schedule};
 use rand::RngCore;
 
 use super::Constructive;
@@ -38,7 +38,7 @@ impl Constructive for LjfrSjfr {
     }
 
     fn build_seeded(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Schedule {
-        let mut completions: Vec<f64> = problem.ready_times().to_vec();
+        let mut completions = problem.ready_times().to_vec();
         let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
 
         // Jobs ascending by workload proxy; queue front = shortest.
@@ -49,7 +49,8 @@ impl Constructive for LjfrSjfr {
         for &machine in &machines_fastest_first {
             let Some(job) = queue.pop_back() else { break };
             schedule.assign(job, machine);
-            completions[machine as usize] += problem.etc(job, machine);
+            completions[machine as usize] =
+                ticks::add(completions[machine as usize], problem.etc(job, machine));
         }
 
         // Phase 2: alternate SJFR / LJFR on the earliest-finishing machine.
@@ -61,7 +62,8 @@ impl Constructive for LjfrSjfr {
         } {
             let machine = argmin(&completions) as MachineId;
             schedule.assign(job, machine);
-            completions[machine as usize] += problem.etc(job, machine);
+            completions[machine as usize] =
+                ticks::add(completions[machine as usize], problem.etc(job, machine));
             take_shortest = !take_shortest;
         }
         schedule
@@ -69,7 +71,7 @@ impl Constructive for LjfrSjfr {
 }
 
 /// Index of the minimum value; ties resolve to the lowest index.
-fn argmin(values: &[f64]) -> usize {
+fn argmin(values: &[i64]) -> usize {
     let mut best = 0;
     for (i, &v) in values.iter().enumerate().skip(1) {
         if v < values[best] {

@@ -22,7 +22,7 @@ impl Constructive for MinMin {
     }
 
     fn build_seeded(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Schedule {
-        let mut completions: Vec<f64> = problem.ready_times().to_vec();
+        let mut completions = problem.ready_times().to_vec();
         let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
         let mut unassigned: Vec<JobId> = (0..problem.nb_jobs() as JobId).collect();
 

@@ -21,7 +21,7 @@ pub use maxmin::MaxMin;
 pub use minmin::MinMin;
 pub use sufferage::Sufferage;
 
-use cmags_core::{JobId, MachineId, Problem, Schedule};
+use cmags_core::{ticks, JobId, MachineId, Problem, Schedule};
 use rand::{Rng, RngCore, SeedableRng};
 
 /// A heuristic that builds a complete schedule in one pass.
@@ -139,20 +139,21 @@ impl Constructive for RandomAssign {
 }
 
 /// Machine minimising `completion[m] + ETC[job][m]`, with the resulting
-/// completion time. Ties resolve to the lowest machine index.
+/// completion time, all in exact ticks. Ties resolve to the lowest
+/// machine index.
 ///
-/// Shared inner loop of Min-Min, Max-Min, Sufferage and MCT.
+/// Shared inner loop of Min-Min, Max-Min and MCT.
 #[inline]
 pub(crate) fn best_completion_for(
     problem: &Problem,
-    completions: &[f64],
+    completions: &[i64],
     job: JobId,
-) -> (MachineId, f64) {
+) -> (MachineId, i64) {
     let row = problem.etc_row(job);
     let mut best_machine = 0 as MachineId;
-    let mut best_ct = completions[0] + row[0];
+    let mut best_ct = ticks::add(completions[0], row[0]);
     for (m, (&etc, &completion)) in row.iter().zip(completions).enumerate().skip(1) {
-        let ct = completion + etc;
+        let ct = ticks::add(completion, etc);
         if ct < best_ct {
             best_ct = ct;
             best_machine = m as MachineId;
@@ -249,8 +250,9 @@ mod tests {
     fn best_completion_prefers_low_index_on_tie() {
         let p = tiny();
         // completions chosen so both machines yield ct = 10 for job 0.
-        let (m, ct) = best_completion_for(&p, &[8.0, 6.0], 0);
-        assert_eq!((m, ct), (0, 10.0));
+        let completions = [ticks::ticks(8.0), ticks::ticks(6.0)];
+        let (m, ct) = best_completion_for(&p, &completions, 0);
+        assert_eq!((m, ct), (0, ticks::ticks(10.0)));
     }
 
     #[test]

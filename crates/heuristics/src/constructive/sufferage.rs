@@ -1,6 +1,6 @@
 //! Sufferage (Maheswaran et al.; evaluated in Braun et al. 2001).
 
-use cmags_core::{JobId, MachineId, Problem, Schedule};
+use cmags_core::{ticks, JobId, MachineId, Problem, Schedule};
 use rand::RngCore;
 
 use super::Constructive;
@@ -18,15 +18,15 @@ use super::Constructive;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sufferage;
 
-/// Best and second-best completion times of one job.
-fn best_two(problem: &Problem, completions: &[f64], job: JobId) -> (MachineId, f64, f64) {
+/// Best and second-best completion times of one job, in ticks.
+fn best_two(problem: &Problem, completions: &[i64], job: JobId) -> (MachineId, i64, i64) {
     let row = problem.etc_row(job);
     debug_assert!(row.len() >= 2, "sufferage requires at least two machines");
     let mut best_machine = 0 as MachineId;
-    let mut best = completions[0] + row[0];
-    let mut second = f64::INFINITY;
+    let mut best = ticks::add(completions[0], row[0]);
+    let mut second = i64::MAX;
     for (m, (&etc, &completion)) in row.iter().zip(completions).enumerate().skip(1) {
-        let ct = completion + etc;
+        let ct = ticks::add(completion, etc);
         if ct < best {
             second = best;
             best = ct;
@@ -48,7 +48,7 @@ impl Constructive for Sufferage {
             // Degenerate case: a single machine hosts everything.
             return Schedule::uniform(problem.nb_jobs(), 0);
         }
-        let mut completions: Vec<f64> = problem.ready_times().to_vec();
+        let mut completions = problem.ready_times().to_vec();
         let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
         let mut unassigned: Vec<JobId> = (0..problem.nb_jobs() as JobId).collect();
 
@@ -85,10 +85,10 @@ mod tests {
     fn best_two_identifies_both() {
         let etc = EtcMatrix::from_rows(1, 3, vec![5.0, 1.0, 3.0]);
         let p = cmags_core::Problem::from_instance(&GridInstance::new("t", etc));
-        let (m, best, second) = best_two(&p, &[0.0, 0.0, 0.0], 0);
+        let (m, best, second) = best_two(&p, &[0, 0, 0], 0);
         assert_eq!(m, 1);
-        assert_eq!(best, 1.0);
-        assert_eq!(second, 3.0);
+        assert_eq!(best, ticks::ticks(1.0));
+        assert_eq!(second, ticks::ticks(3.0));
     }
 
     #[test]

@@ -42,16 +42,17 @@ impl LocalSearch for LocalMctMove {
         }
         let job = rng.gen_range(0..schedule.nb_jobs() as JobId);
         let current = schedule.machine_of(job);
-        // MCT target: argmin over machines of completion + etc.
+        // MCT target: argmin over machines of completion + etc, in the
+        // evaluator's exact ticks.
         let row = problem.etc_row(job);
         let mut target = current;
-        let mut best_ct = f64::INFINITY;
+        let mut best_ct = i128::MAX;
         for (m, &etc) in row.iter().enumerate() {
             let m = m as MachineId;
             if m == current {
                 continue;
             }
-            let ct = eval.completion(m) + etc;
+            let ct = eval.completion_ticks(m) + i128::from(etc);
             if ct < best_ct {
                 best_ct = ct;
                 target = m;

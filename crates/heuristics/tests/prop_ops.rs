@@ -2,7 +2,7 @@
 //! heuristics and the local-search contract over randomly drawn
 //! instances and schedules.
 
-use cmags_core::{EvalState, Problem, Schedule};
+use cmags_core::{ticks, EvalState, Problem, Schedule};
 use cmags_etc::{EtcMatrix, GridInstance};
 use cmags_heuristics::constructive::{Constructive, ConstructiveKind, LjfrSjfr};
 use cmags_heuristics::local_search::LocalSearchKind;
@@ -90,13 +90,19 @@ proptest! {
         let mut schedule = schedule_for(&p, seed);
         let mut eval = EvalState::new(&p, &schedule);
         let mut rng = SmallRng::seed_from_u64(seed);
+        // The bound is an exact tick sum; `ticks::time` is monotone, so
+        // comparing the converted values needs no slack.
         let max_etc = (0..p.nb_jobs() as u32)
-            .map(|j| p.etc_row(j).iter().copied().fold(0.0f64, f64::max))
-            .fold(0.0f64, f64::max);
+            .flat_map(|j| p.etc_row(j).iter().copied())
+            .max()
+            .unwrap();
         for _ in 0..8 {
-            let before = eval.makespan();
+            let before = (0..p.nb_machines() as u32)
+                .map(|m| eval.completion_ticks(m))
+                .max()
+                .unwrap();
             Mutation::Rebalance.apply(&p, &mut schedule, &mut eval, &mut rng);
-            prop_assert!(eval.makespan() <= before + max_etc + 1e-9);
+            prop_assert!(eval.makespan() <= ticks::time(before + i128::from(max_etc)));
         }
     }
 

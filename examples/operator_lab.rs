@@ -37,11 +37,7 @@ impl LocalSearch for CriticalDrain {
             .iter()
             .filter(|&(_, m)| m == critical)
             .map(|(j, _)| j)
-            .max_by(|&a, &b| {
-                problem
-                    .etc(a, critical)
-                    .total_cmp(&problem.etc(b, critical))
-            })
+            .max_by_key(|&j| problem.etc(j, critical))
         else {
             return false;
         };
