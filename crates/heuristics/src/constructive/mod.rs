@@ -152,11 +152,11 @@ pub(crate) fn best_completion_for(
     let row = problem.etc_row(job);
     let mut best_machine = 0 as MachineId;
     let mut best_ct = ticks::add(completions[0], row[0]);
-    for (m, (&etc, &completion)) in row.iter().zip(completions).enumerate().skip(1) {
+    for (m, (&etc, &completion)) in (1..).zip(row[1..].iter().zip(&completions[1..])) {
         let ct = ticks::add(completion, etc);
         if ct < best_ct {
             best_ct = ct;
-            best_machine = m as MachineId;
+            best_machine = m;
         }
     }
     (best_machine, best_ct)

@@ -25,12 +25,12 @@ fn best_two(problem: &Problem, completions: &[i64], job: JobId) -> (MachineId, i
     let mut best_machine = 0 as MachineId;
     let mut best = ticks::add(completions[0], row[0]);
     let mut second = i64::MAX;
-    for (m, (&etc, &completion)) in row.iter().zip(completions).enumerate().skip(1) {
+    for (m, (&etc, &completion)) in (1..).zip(row[1..].iter().zip(&completions[1..])) {
         let ct = ticks::add(completion, etc);
         if ct < best {
             second = best;
             best = ct;
-            best_machine = m as MachineId;
+            best_machine = m;
         } else if ct < second {
             second = ct;
         }
