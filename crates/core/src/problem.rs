@@ -40,13 +40,12 @@ impl Problem {
     /// instance's ETC and ready times to ticks in one pass.
     #[must_use]
     pub fn with_weights(instance: &GridInstance, weights: FitnessWeights) -> Self {
-        let quantise = |values: &[f64]| values.iter().map(|&v| ticks::ticks(v)).collect();
         Self {
             name: instance.name().to_owned(),
             nb_jobs: instance.nb_jobs(),
             nb_machines: instance.nb_machines(),
-            etc: quantise(instance.etc().as_slice()),
-            ready: quantise(instance.ready_times()),
+            etc: ticks::quantise(instance.etc().as_slice()),
+            ready: ticks::quantise(instance.ready_times()),
             weights,
             objective: Objective::classic(),
         }

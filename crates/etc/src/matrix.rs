@@ -35,8 +35,14 @@ impl EtcMatrix {
             "data length {} does not match {nb_jobs}x{nb_machines}",
             data.len()
         );
+        // A non-short-circuit count of `x > 0` and `x < ∞` (NaN fails
+        // both), kept as two separate tallies: LLVM folds the conjoined
+        // test into a scalar bit-class check, but vectorises the counts.
+        let (positive, below_infinity) = data.iter().fold((0usize, 0usize), |(p, f), &x| {
+            (p + usize::from(x > 0.0), f + usize::from(x < f64::INFINITY))
+        });
         assert!(
-            data.iter().all(|&x| x.is_finite() && x > 0.0),
+            positive == data.len() && below_infinity == data.len(),
             "ETC entries must be strictly positive and finite"
         );
         Self {
@@ -317,6 +323,41 @@ mod tests {
     #[should_panic(expected = "strictly positive")]
     fn rejects_non_positive_entries() {
         let _ = EtcMatrix::from_rows(1, 2, vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn rejects_exactly_the_non_positive_or_non_finite_entries() {
+        let bad = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            -f64::from_bits(1),
+        ];
+        // Each bad value at the first, a middle and the last cell.
+        for value in bad {
+            for at in [0, 37, 99] {
+                let mut data = vec![1.5; 100];
+                data[at] = value;
+                let payload = std::panic::catch_unwind(|| EtcMatrix::from_rows(10, 10, data))
+                    .expect_err("a bad cell must be rejected");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("strictly positive"),
+                    "{value} at cell {at}: panicked with {message:?}"
+                );
+            }
+        }
+        // The extremes of the valid range stay accepted.
+        let m = EtcMatrix::from_rows(1, 3, vec![f64::from_bits(1), f64::MIN_POSITIVE, f64::MAX]);
+        assert_eq!(m.max_etc(), f64::MAX);
     }
 
     #[test]

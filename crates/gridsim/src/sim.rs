@@ -720,13 +720,12 @@ impl Simulation {
         scratch.etc.clear();
         scratch.etc.reserve(nb_jobs * nb_machines);
         for &job in &scratch.job_ids {
-            let spec = &jobs.get(job).spec;
-            for machine_spec in &scratch.specs {
-                let etc = world.etc(spec, machine_spec);
-                scratch.etc.push(match inflate {
-                    Some((recovery, failures)) => recovery.inflate(etc, &failures),
-                    None => etc,
-                });
+            let row = scratch.etc.len();
+            world.extend_etc_row(&jobs.get(job).spec, &scratch.specs, &mut scratch.etc);
+            if let Some((recovery, failures)) = inflate {
+                for cell in &mut scratch.etc[row..] {
+                    *cell = recovery.inflate(*cell, &failures);
+                }
             }
         }
         let etc = EtcMatrix::from_rows(nb_jobs, nb_machines, std::mem::take(&mut scratch.etc));

@@ -93,7 +93,43 @@ impl World {
     /// class. Deterministic: repeated calls always agree.
     #[must_use]
     pub fn etc(&self, job: &JobSpec, machine: &MachineSpec) -> f64 {
-        let multiplier = match self.consistency {
+        self.etc_under(self.consistency, job, machine)
+    }
+
+    /// Appends the ETC row of `job` across `machines` to `row`, cell for
+    /// cell equal to [`World::etc`]. The consistency match is hoisted out
+    /// of the row: each arm inlines [`World::etc`]'s own formula with the
+    /// class fixed, so the consistent row is one vectorisable product.
+    pub(crate) fn extend_etc_row(
+        &self,
+        job: &JobSpec,
+        machines: &[MachineSpec],
+        row: &mut Vec<f64>,
+    ) {
+        match self.consistency {
+            Consistency::Consistent => row.extend(
+                machines
+                    .iter()
+                    .map(|m| self.etc_under(Consistency::Consistent, job, m)),
+            ),
+            Consistency::Inconsistent => row.extend(
+                machines
+                    .iter()
+                    .map(|m| self.etc_under(Consistency::Inconsistent, job, m)),
+            ),
+            Consistency::SemiConsistent => row.extend(
+                machines
+                    .iter()
+                    .map(|m| self.etc_under(Consistency::SemiConsistent, job, m)),
+            ),
+        }
+    }
+
+    /// The ETC of a pair under an explicit consistency class — the one
+    /// formula behind [`World::etc`] and [`World::extend_etc_row`].
+    #[inline(always)]
+    fn etc_under(&self, consistency: Consistency, job: &JobSpec, machine: &MachineSpec) -> f64 {
+        let multiplier = match consistency {
             Consistency::Consistent => machine.slowness,
             Consistency::Inconsistent => self.pair_noise(job.id, machine.id),
             Consistency::SemiConsistent => {
@@ -401,6 +437,36 @@ mod tests {
         for id in 0..50 {
             let j = job(id, 10.0 + id as f64);
             assert!(world.etc(&j, &fast) < world.etc(&j, &slow));
+        }
+    }
+
+    #[test]
+    fn etc_rows_equal_per_cell_etc() {
+        let machines: Vec<MachineSpec> = (0..37)
+            .map(|id| machine(id * 3 + 1, 1.0 + id as f64 * 0.61))
+            .collect();
+        let jobs: Vec<JobSpec> = (0..9)
+            .map(|id| job(id * 5 + 2, 3.0 + id as f64 * 97.3))
+            .collect();
+        for consistency in [
+            Consistency::Consistent,
+            Consistency::Inconsistent,
+            Consistency::SemiConsistent,
+        ] {
+            let world = World {
+                consistency,
+                ..World::hihi_consistent(11)
+            };
+            let mut rows = Vec::new();
+            for j in &jobs {
+                world.extend_etc_row(j, &machines, &mut rows);
+            }
+            let cells: Vec<u64> = jobs
+                .iter()
+                .flat_map(|j| machines.iter().map(|m| world.etc(j, m).to_bits()))
+                .collect();
+            let rows: Vec<u64> = rows.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(rows, cells, "{consistency:?}");
         }
     }
 

@@ -1,16 +1,18 @@
 //! Max-Min (Braun et al. 2001).
 
-use cmags_core::{JobId, Problem, Schedule};
+use cmags_core::{Problem, Schedule};
 use rand::RngCore;
 
-use super::{best_completion_for, Constructive};
+use super::{build_by_best_completion, Constructive};
 
 /// Max-Min: repeatedly assign the job whose *minimum completion time* is
 /// largest.
 ///
 /// The mirror image of Min-Min: big jobs are committed first (to their
 /// best machines), and the small jobs then fill the gaps. Tends to win
-/// when a few long jobs dominate the workload. `O(jobs² · machines)`.
+/// when a few long jobs dominate the workload. `O(jobs² · machines)` in the worst
+/// case; a round rescans only the jobs whose cached best machine was the
+/// one just committed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxMin;
 
@@ -20,25 +22,7 @@ impl Constructive for MaxMin {
     }
 
     fn build_seeded(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Schedule {
-        let mut completions = problem.ready_times().to_vec();
-        let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
-        let mut unassigned: Vec<JobId> = (0..problem.nb_jobs() as JobId).collect();
-
-        while !unassigned.is_empty() {
-            let mut best_pos = 0;
-            let mut best = best_completion_for(problem, &completions, unassigned[0]);
-            for (pos, &job) in unassigned.iter().enumerate().skip(1) {
-                let cand = best_completion_for(problem, &completions, job);
-                if cand.1 > best.1 {
-                    best = cand;
-                    best_pos = pos;
-                }
-            }
-            let job = unassigned.swap_remove(best_pos);
-            schedule.assign(job, best.0);
-            completions[best.0 as usize] = best.1;
-        }
-        schedule
+        build_by_best_completion(problem, |candidate, best| candidate > best)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Min-Min (Braun et al. 2001) — the strongest simple heuristic of the
 //! original benchmark study.
 
-use cmags_core::{JobId, Problem, Schedule};
+use cmags_core::{Problem, Schedule};
 use rand::RngCore;
 
-use super::{best_completion_for, Constructive};
+use super::{build_by_best_completion, Constructive};
 
 /// Min-Min: repeatedly assign the job with the globally smallest
 /// *minimum completion time*.
@@ -12,7 +12,9 @@ use super::{best_completion_for, Constructive};
 /// Each round computes, for every unassigned job, the machine that would
 /// complete it earliest; the job with the smallest such completion time is
 /// committed. Small jobs therefore go first, keeping machine completions
-/// low and packed. `O(jobs² · machines)`.
+/// low and packed. `O(jobs² · machines)` in the worst
+/// case; a round rescans only the jobs whose cached best machine was the
+/// one just committed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinMin;
 
@@ -22,26 +24,7 @@ impl Constructive for MinMin {
     }
 
     fn build_seeded(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Schedule {
-        let mut completions = problem.ready_times().to_vec();
-        let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
-        let mut unassigned: Vec<JobId> = (0..problem.nb_jobs() as JobId).collect();
-
-        while !unassigned.is_empty() {
-            // Find the (job, machine) pair with minimum completion time.
-            let mut best_pos = 0;
-            let mut best = best_completion_for(problem, &completions, unassigned[0]);
-            for (pos, &job) in unassigned.iter().enumerate().skip(1) {
-                let cand = best_completion_for(problem, &completions, job);
-                if cand.1 < best.1 {
-                    best = cand;
-                    best_pos = pos;
-                }
-            }
-            let job = unassigned.swap_remove(best_pos);
-            schedule.assign(job, best.0);
-            completions[best.0 as usize] = best.1;
-        }
-        schedule
+        build_by_best_completion(problem, |candidate, best| candidate < best)
     }
 }
 

@@ -162,6 +162,49 @@ pub(crate) fn best_completion_for(
     (best_machine, best_ct)
 }
 
+/// Shared driver of Min-Min and Max-Min: each round commits the
+/// unassigned job whose best completion time `wins` against every other
+/// job's (the first such job in `unassigned` order on ties), to that best
+/// machine.
+///
+/// Each job's best `(machine, completion)` is cached in step with
+/// `unassigned` (both `swap_remove`d at the same position). A commit
+/// raises only the committed machine's completion, so a job whose best
+/// was another machine keeps that best and its tie-break: only the jobs
+/// cached on the committed machine are rescanned. The schedule is the
+/// one a full rescan per round would build.
+pub(crate) fn build_by_best_completion(
+    problem: &Problem,
+    wins: impl Fn(i64, i64) -> bool,
+) -> Schedule {
+    let mut completions = problem.ready_times().to_vec();
+    let mut schedule = Schedule::uniform(problem.nb_jobs(), 0);
+    let mut unassigned: Vec<JobId> = (0..problem.nb_jobs() as JobId).collect();
+    let mut best: Vec<(MachineId, i64)> = unassigned
+        .iter()
+        .map(|&job| best_completion_for(problem, &completions, job))
+        .collect();
+
+    while !unassigned.is_empty() {
+        let mut pick = 0;
+        for (pos, &(_, completion)) in best.iter().enumerate().skip(1) {
+            if wins(completion, best[pick].1) {
+                pick = pos;
+            }
+        }
+        let job = unassigned.swap_remove(pick);
+        let (machine, completion) = best.swap_remove(pick);
+        schedule.assign(job, machine);
+        completions[machine as usize] = completion;
+        for (&job, cached) in unassigned.iter().zip(&mut best) {
+            if cached.0 == machine {
+                *cached = best_completion_for(problem, &completions, job);
+            }
+        }
+    }
+    schedule
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use cmags_core::Problem;
