@@ -1,8 +1,8 @@
 //! Re-stages Braun et al.'s classic mapper line-up (one-shot
 //! heuristics, SA, Tabu, GAs) with the paper's cMA added, over the
 //! twelve benchmark classes under equal budgets. `--large` additionally
-//! runs the line-up on the generated 4096×64 scenario shared with
-//! `eval_throughput` and the scaling sweep (size the budget with
+//! runs the line-up on the generated 4096×64 scenario shared with the
+//! portfolio experiment and the scaling sweep (size the budget with
 //! `--budget-ms`/`--budget-children` accordingly).
 
 use cmags_bench::args::{Args, Ctx};

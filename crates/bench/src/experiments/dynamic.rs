@@ -3,11 +3,16 @@
 //! Runs the discrete-event simulator with the cMA in periodic batch mode
 //! against the racing portfolio and the fast constructive baselines,
 //! sweeping the whole [`ScenarioFamily`] catalog (calm, churny, bursty,
-//! diurnal, flash-crowd, degrading, volatile) — or the `--families`
-//! subset — and, when `--lambda` names several response weights, the
-//! tunable objective axis: each λ retargets the metaheuristic batch
-//! schedulers at `(1-λ)·classic_fitness + λ·mean_flowtime`, probing
-//! whether they can close the mean-response gap to Min-Min.
+//! diurnal, flash-crowd, degrading, volatile, flaky, crashy) — or the
+//! `--families` subset — and, when `--lambda` names several response
+//! weights, the tunable objective axis: each λ retargets the
+//! metaheuristic batch schedulers at
+//! `(1-λ)·classic_fitness + λ·mean_flowtime`, probing whether they can
+//! close the mean-response gap to Min-Min.
+//!
+//! The historical record `BENCH_scenarios.json` holds this sweep at
+//! `--lambda 0,0.5,1 --budget-children 2000`, averaged over seeds 1–3
+//! (one `--seed` per run).
 
 use std::io;
 use std::path::Path;
@@ -45,21 +50,6 @@ fn baselines() -> Vec<Box<dyn BatchScheduler>> {
     ]
 }
 
-/// Builds the scheduler roster shared by the experiment tables and the
-/// [`scenario_sweep`]: the objective-retargeted metaheuristics plus
-/// (when `with_baselines`) the constructive baselines.
-fn roster(
-    budget: StopCondition,
-    objective: Objective,
-    with_baselines: bool,
-) -> Vec<Box<dyn BatchScheduler>> {
-    let mut schedulers = metaheuristics(budget, objective);
-    if with_baselines {
-        schedulers.extend(baselines());
-    }
-    schedulers
-}
-
 /// Column headers of the scenario tables. The response percentiles come
 /// from the tick-domain histograms of [`TelemetryReport`] — exact counts,
 /// ≤ 12.5 % bucket-edge quantile error.
@@ -88,11 +78,14 @@ struct RunOpts<'a> {
     trace_out: Option<&'a Path>,
 }
 
-/// One scheduler's simulation of one scenario: the rendered table row
-/// plus the telemetry the `--metrics` summary tables are built from.
+/// One scheduler's simulation of one scenario: the rendered table row,
+/// the two objectives the winners table ranks on, and the telemetry
+/// the `--metrics` summary tables are built from.
 struct RunRecord {
     row: Vec<String>,
     scheduler: String,
+    makespan: f64,
+    mean_response: f64,
     telemetry: TelemetryReport,
     portfolio: Option<MetricsRegistry>,
 }
@@ -115,11 +108,23 @@ fn open_trace(path: &Path) -> Option<Box<dyn io::Write>> {
 }
 
 /// Runs `schedulers` over one scenario, one record per run.
+/// `family_digest` carries the exogenous event digest of the scenario's
+/// first run (`None` before it) across every call for the same
+/// `(family, seed)`.
+///
+/// # Panics
+///
+/// Panics if a simulation loses a job (every submitted job must end
+/// completed or, under a fault family's give-up bound, dropped), or if
+/// its event digest differs from `family_digest`: schedulers decide
+/// placements only, so a scheduler that perturbs the simulation RNG
+/// fails the run.
 fn scenario_runs(
     schedulers: Vec<Box<dyn BatchScheduler>>,
     config: &SimConfig,
     seed: u64,
     opts: RunOpts<'_>,
+    family_digest: &mut Option<u64>,
 ) -> Vec<RunRecord> {
     schedulers
         .into_iter()
@@ -132,6 +137,18 @@ fn scenario_runs(
                 sim = sim.with_trace(writer);
             }
             let report = sim.run(scheduler.as_mut());
+            assert_eq!(
+                report.jobs_completed + report.jobs_dropped,
+                report.jobs_submitted,
+                "{}: simulation lost jobs",
+                report.scheduler
+            );
+            let expected = *family_digest.get_or_insert(report.event_digest);
+            assert_eq!(
+                report.event_digest, expected,
+                "{}: scheduler perturbed the exogenous event stream",
+                report.scheduler
+            );
             let pct = |q: f64| fmt_value(report.response_percentile(q).unwrap_or(f64::NAN));
             let row = vec![
                 report.scheduler.clone(),
@@ -149,23 +166,13 @@ fn scenario_runs(
             ];
             RunRecord {
                 row,
-                scheduler: report.scheduler.clone(),
+                makespan: report.realized_makespan,
+                mean_response: report.mean_response(),
+                scheduler: report.scheduler,
                 portfolio: scheduler.metrics().cloned(),
                 telemetry: report.telemetry,
             }
         })
-        .collect()
-}
-
-/// Runs `schedulers` over one scenario and renders one row per run.
-fn scenario_rows(
-    schedulers: Vec<Box<dyn BatchScheduler>>,
-    config: &SimConfig,
-    seed: u64,
-) -> Vec<Vec<String>> {
-    scenario_runs(schedulers, config, seed, RunOpts::default())
-        .into_iter()
-        .map(|r| r.row)
         .collect()
 }
 
@@ -239,34 +246,54 @@ fn registry_table(title: &str, registry: &MetricsRegistry) -> Table {
     table
 }
 
-/// Runs one scenario for every scheduler and tabulates the realized
-/// metrics.
-#[must_use]
-pub fn scenario_table(
-    title: &str,
-    config: &SimConfig,
-    seed: u64,
-    cma_budget: StopCondition,
-    objective: Objective,
-) -> Table {
-    let mut table = Table::new(title, &SCENARIO_COLUMNS);
-    for row in scenario_rows(roster(cma_budget, objective, true), config, seed) {
-        table.push_row(row);
-    }
-    table
+/// Builds one family's row of the winners table. The makespan and
+/// response winners are ranked over `classic`, the runs that optimised
+/// the classic objective (the baselines, plus the metaheuristics when
+/// λ = 0 is swept); `gaps` holds the best-metaheuristic cells per λ.
+fn winners_row(family: ScenarioFamily, classic: &[&RunRecord], gaps: Vec<String>) -> Vec<String> {
+    let mut by_makespan = classic.to_vec();
+    by_makespan.sort_by(|a, b| a.makespan.total_cmp(&b.makespan));
+    let (best, runner_up) = (by_makespan[0], by_makespan[1]);
+    let response_winner = classic
+        .iter()
+        .min_by(|a, b| a.mean_response.total_cmp(&b.mean_response))
+        .expect("the baselines always race");
+    let mut row = vec![
+        family.to_string(),
+        best.scheduler.clone(),
+        fmt_value(best.makespan),
+        format!(
+            "{:+.2}",
+            (runner_up.makespan - best.makespan) / best.makespan * 100.0
+        ),
+        response_winner.scheduler.clone(),
+    ];
+    row.extend(gaps);
+    row
 }
 
 /// The full dynamic experiment: one table per scenario family in the
 /// context's sweep (default: the whole catalog) and per `--lambda`
-/// response weight (default: classic only). `--metrics` appends a
+/// response weight (default: classic only), then one winners table
+/// with a row per family: the realized-makespan winner and the
+/// runner-up's Δ %, the mean-response winner, and per λ the best
+/// metaheuristic with its mean-response gap to Min-Min (the response
+/// champion of every family at λ = 0). `--metrics` appends a
 /// phase-attribution table per scenario table plus the portfolio's
 /// per-contender registry; `--trace-out` appends every run's JSONL
 /// event trace to the named file.
+///
+/// The per-activation metaheuristic budget is `--budget-children`
+/// (default 2 000) children, capped by `--budget-ms` (default 500 ms).
+///
+/// # Panics
+///
+/// Panics if any run loses a job, or if two runs of one family see
+/// different exogenous event streams (see [`scenario_runs`]).
 #[must_use]
 pub fn dynamic(ctx: &Ctx) -> Vec<Table> {
-    // Scale the per-activation cMA budget off the context: the dynamic
-    // claim is about *short* activations.
-    let budget = StopCondition::children(2_000).and_time(
+    // The dynamic claim is about *short* activations.
+    let budget = StopCondition::children(ctx.stop.max_children.unwrap_or(2_000)).and_time(
         ctx.stop
             .time_limit
             .unwrap_or_else(|| std::time::Duration::from_millis(500)),
@@ -275,28 +302,62 @@ pub fn dynamic(ctx: &Ctx) -> Vec<Table> {
         profile: ctx.metrics,
         trace_out: ctx.trace_out.as_deref(),
     };
+    let mut winners = Table::new(
+        "Dynamic grid winners",
+        &[
+            "Family",
+            "makespan winner",
+            "makespan",
+            "runner-up Δ %",
+            "response winner",
+        ],
+    );
+    for objective in &ctx.lambdas {
+        winners.headers.push(format!("best meta λ = {objective}"));
+        winners
+            .headers
+            .push(format!("gap to Min-Min % λ = {objective}"));
+    }
     let mut tables = Vec::new();
     for &family in &ctx.families {
         let config = SimConfig::from_family(family);
+        let mut digest = None;
         // The constructive baselines are λ-independent: simulate them
         // once per family and splice the identical rows into every λ
         // table instead of re-running full simulations per weight.
-        let baseline_runs = scenario_runs(baselines(), &config, ctx.seed, opts);
+        let baseline_runs = scenario_runs(baselines(), &config, ctx.seed, opts, &mut digest);
+        let minmin_response = baseline_runs
+            .iter()
+            .find(|r| r.scheduler == "Min-Min")
+            .expect("Min-Min always races")
+            .mean_response;
+        let mut classic_meta = Vec::new();
+        let mut gaps = Vec::new();
         for &objective in &ctx.lambdas {
             let title = if objective.is_classic() {
                 format!("Dynamic grid {family} scenario")
             } else {
                 format!("Dynamic grid {family} scenario (λ = {objective})")
             };
-            let meta_runs =
-                scenario_runs(metaheuristics(budget, objective), &config, ctx.seed, opts);
-            let mut table = Table::new(&title, &SCENARIO_COLUMNS);
-            for row in meta_runs
+            let meta_runs = scenario_runs(
+                metaheuristics(budget, objective),
+                &config,
+                ctx.seed,
+                opts,
+                &mut digest,
+            );
+            let best_meta = meta_runs
                 .iter()
-                .map(|r| r.row.clone())
-                .chain(baseline_runs.iter().map(|r| r.row.clone()))
-            {
-                table.push_row(row);
+                .min_by(|a, b| a.mean_response.total_cmp(&b.mean_response))
+                .expect("the metaheuristics always race");
+            gaps.push(best_meta.scheduler.clone());
+            gaps.push(format!(
+                "{:+.2}",
+                (best_meta.mean_response - minmin_response) / minmin_response * 100.0
+            ));
+            let mut table = Table::new(&title, &SCENARIO_COLUMNS);
+            for run in meta_runs.iter().chain(&baseline_runs) {
+                table.push_row(run.row.clone());
             }
             tables.push(table);
             if ctx.metrics {
@@ -313,103 +374,15 @@ pub fn dynamic(ctx: &Ctx) -> Vec<Table> {
                     }
                 }
             }
+            if objective.is_classic() {
+                classic_meta = meta_runs;
+            }
         }
+        let classic: Vec<&RunRecord> = classic_meta.iter().chain(&baseline_runs).collect();
+        winners.push_row(winners_row(family, &classic, gaps));
     }
+    tables.push(winners);
     tables
-}
-
-/// One `(family, scheduler, λ)` cell of the scenario sweep.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Scenario family of the run.
-    pub family: ScenarioFamily,
-    /// Scheduler name (λ-tagged for retargeted metaheuristics).
-    pub scheduler: String,
-    /// Response weight the scheduler optimised (0 for the λ-independent
-    /// baselines).
-    pub lambda: f64,
-    /// Mean response time per completed job.
-    pub mean_response: f64,
-    /// Median response time (seconds), from the exact tick-domain
-    /// histogram (NaN when no job completed).
-    pub p50_response: f64,
-    /// 95th-percentile response time (seconds).
-    pub p95_response: f64,
-    /// 99th-percentile response time (seconds) — the tail-latency
-    /// column of the per-family quality comparison.
-    pub p99_response: f64,
-    /// Completion time of the last job.
-    pub realized_makespan: f64,
-    /// Digest of the exogenous event stream — identical across the
-    /// whole roster of one `(family, seed)` sweep by construction
-    /// (asserted, so a scheduler perturbing the simulation RNG cannot
-    /// slip through a bench run unnoticed).
-    pub event_digest: u64,
-}
-
-/// Sweeps every `(family, scheduler, λ)` cell at one seed — the quality
-/// comparison behind `BENCH_scenarios.json`. The λ-independent
-/// constructive baselines run once per family; the metaheuristics run
-/// once per entry of `objectives`.
-///
-/// # Panics
-///
-/// Panics if any simulation loses a job (every submitted job must end
-/// completed or, under a fault family's give-up bound, dropped), or
-/// if two schedulers of the same `(family, seed)` observe different
-/// exogenous event streams.
-#[must_use]
-pub fn scenario_sweep(
-    families: &[ScenarioFamily],
-    seed: u64,
-    budget: StopCondition,
-    objectives: &[Objective],
-) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for &family in families {
-        let mut family_digest: Option<u64> = None;
-        let mut sweep =
-            |schedulers: Vec<Box<dyn BatchScheduler>>, lambda: f64, cells: &mut Vec<SweepCell>| {
-                for mut scheduler in schedulers {
-                    let config = SimConfig::from_family(family);
-                    let report = Simulation::new(config, seed).run(scheduler.as_mut());
-                    assert_eq!(
-                        report.jobs_completed + report.jobs_dropped,
-                        report.jobs_submitted,
-                        "{family}/{}: simulation lost jobs",
-                        report.scheduler
-                    );
-                    let expected = *family_digest.get_or_insert(report.event_digest);
-                    assert_eq!(
-                        report.event_digest, expected,
-                        "{family}/{}: scheduler perturbed the exogenous event stream",
-                        report.scheduler
-                    );
-                    cells.push(SweepCell {
-                        family,
-                        lambda,
-                        mean_response: report.mean_response(),
-                        p50_response: report.response_percentile(0.50).unwrap_or(f64::NAN),
-                        p95_response: report.response_percentile(0.95).unwrap_or(f64::NAN),
-                        p99_response: report.response_percentile(0.99).unwrap_or(f64::NAN),
-                        realized_makespan: report.realized_makespan,
-                        event_digest: report.event_digest,
-                        scheduler: report.scheduler,
-                    });
-                }
-            };
-        // Baselines once per family, always recorded at λ = 0 — they
-        // never optimise a scalarisation, whatever the sweep's list.
-        sweep(baselines(), 0.0, &mut cells);
-        for &objective in objectives {
-            sweep(
-                metaheuristics(budget, objective),
-                objective.lambda(),
-                &mut cells,
-            );
-        }
-    }
-    cells
 }
 
 #[cfg(test)]
@@ -417,23 +390,27 @@ mod tests {
     use super::super::test_ctx;
     use super::*;
 
+    /// Parses one numeric cell of a scenario-table row.
+    fn cell(row: &[String], column: usize) -> f64 {
+        row[column].parse().unwrap()
+    }
+
     #[test]
     fn calm_scenario_ranks_cma_over_random() {
-        let t = scenario_table(
-            "test calm",
-            &SimConfig::small(),
-            3,
-            StopCondition::children(300),
-            Objective::classic(),
-        );
+        let mut ctx = test_ctx(24, 3, 1, 300);
+        ctx.seed = 3;
+        ctx.families = vec![ScenarioFamily::Calm];
+        let tables = dynamic(&ctx);
+        let t = &tables[0];
         assert_eq!(t.rows.len(), 6);
         let response_of = |name: &str| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0] == name)
-                .unwrap_or_else(|| panic!("{name} missing"))[4]
-                .parse()
-                .unwrap()
+            cell(
+                t.rows
+                    .iter()
+                    .find(|r| r[0] == name)
+                    .unwrap_or_else(|| panic!("{name} missing")),
+                4,
+            )
         };
         assert!(
             response_of("cMA") < response_of("Random"),
@@ -445,7 +422,7 @@ mod tests {
         );
         // The percentile columns are populated and ordered for every row.
         for row in &t.rows {
-            let p: Vec<f64> = (5..8).map(|i| row[i].parse().unwrap()).collect();
+            let p: Vec<f64> = (5..8).map(|i| cell(row, i)).collect();
             assert!(
                 p[0] > 0.0 && p[0] <= p[1] && p[1] <= p[2],
                 "{}: p50/p95/p99 must be positive and ordered: {p:?}",
@@ -465,8 +442,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         ctx.trace_out = Some(path.clone());
         let tables = dynamic(&ctx);
-        // Scenario table + phase table + portfolio registry table.
-        assert_eq!(tables.len(), 3);
+        // Scenario table + phase table + portfolio registry table +
+        // winners table.
+        assert_eq!(tables.len(), 4);
         let phases = tables
             .iter()
             .find(|t| t.title.ends_with("telemetry"))
@@ -508,11 +486,11 @@ mod tests {
         ctx.families = vec![ScenarioFamily::Calm, ScenarioFamily::Bursty];
         ctx.lambdas = vec![Objective::classic(), Objective::mean_flowtime()];
         let tables = dynamic(&ctx);
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 5, "four scenario tables and the winners");
         assert!(tables[0].title.contains("calm"));
         assert!(tables[1].title.contains("calm") && tables[1].title.contains("λ = 1"));
         assert!(tables[2].title.contains("bursty"));
-        for t in &tables {
+        for t in &tables[..4] {
             // Every scheduler finished every job.
             for row in &t.rows {
                 let jobs: u64 = row[1].parse().unwrap();
@@ -522,52 +500,84 @@ mod tests {
     }
 
     #[test]
-    fn scenario_sweep_covers_every_cell_once_per_lambda() {
+    fn dynamic_covers_every_cell_once_per_lambda() {
         let families = [ScenarioFamily::Calm, ScenarioFamily::FlashCrowd];
-        let objectives = [Objective::classic(), Objective::mean_flowtime()];
-        let cells = scenario_sweep(&families, 3, StopCondition::children(150), &objectives);
-        // Per family: 4 baselines (once, at λ = 0) plus 2 metaheuristics
-        // per swept objective.
-        assert_eq!(cells.len(), families.len() * (4 + 2 * 2));
-        assert!(
-            cells
-                .iter()
-                .filter(
-                    |c| !(c.scheduler.starts_with("cMA") || c.scheduler.starts_with("Portfolio"))
-                )
-                .all(|c| c.lambda == 0.0),
-            "baseline cells are always recorded at λ = 0"
-        );
-        for cell in &cells {
-            assert!(families.contains(&cell.family));
-            assert!(!cell.scheduler.is_empty());
-            assert!(
-                cell.mean_response > 0.0 && cell.realized_makespan > 0.0,
-                "{}/{}",
-                cell.family,
-                cell.scheduler
+        let mut ctx = test_ctx(24, 3, 1, 150);
+        ctx.seed = 3;
+        ctx.families = families.to_vec();
+        ctx.lambdas = vec![Objective::classic(), Objective::mean_flowtime()];
+        // Job conservation and one event digest per family across the
+        // baselines and every λ's metaheuristics are asserted by every
+        // run (see `a_perturbed_event_stream_fails_the_run`).
+        let tables = dynamic(&ctx);
+        assert_eq!(tables.len(), families.len() * 2 + 1);
+        for (f, family) in families.iter().enumerate() {
+            let (classic, tagged) = (&tables[2 * f], &tables[2 * f + 1]);
+            assert!(classic.title.contains(family.name()) && tagged.title.contains("λ = 1"));
+            // Per family: 4 baselines (run once, at λ = 0) plus 2
+            // metaheuristics per swept objective.
+            assert_eq!((classic.rows.len(), tagged.rows.len()), (6, 6));
+            assert_eq!(
+                classic.rows[2..],
+                tagged.rows[2..],
+                "baseline rows are the same λ = 0 runs in every λ table"
             );
             assert!(
-                cell.p50_response > 0.0
-                    && cell.p50_response <= cell.p95_response
-                    && cell.p95_response <= cell.p99_response,
-                "{}/{}: percentile columns must be positive and ordered",
-                cell.family,
-                cell.scheduler
+                tagged.rows[..2].iter().all(|r| r[0].ends_with("[λ=1]"))
+                    && classic.rows[..2].iter().all(|r| !r[0].contains('λ')),
+                "{family}: only the retargeted metaheuristics carry a λ tag"
             );
+            for row in classic.rows.iter().chain(&tagged.rows[..2]) {
+                assert!(
+                    cell(row, 4) > 0.0 && cell(row, 3) > 0.0,
+                    "{family}/{}",
+                    row[0]
+                );
+                let p: Vec<f64> = (5..8).map(|i| cell(row, i)).collect();
+                assert!(
+                    p[0] > 0.0 && p[0] <= p[1] && p[1] <= p[2],
+                    "{family}/{}: percentile columns must be positive and ordered",
+                    row[0]
+                );
+            }
         }
-        let tagged = cells.iter().filter(|c| c.lambda == 1.0).count();
-        assert_eq!(tagged, families.len() * 2, "λ-tagged metaheuristic cells");
-        for family in families {
-            let digests: Vec<u64> = cells
-                .iter()
-                .filter(|c| c.family == family)
-                .map(|c| c.event_digest)
-                .collect();
-            assert!(
-                digests.windows(2).all(|w| w[0] == w[1]),
-                "{family}: event stream must be identical across the roster"
-            );
+        let winners = tables.last().unwrap();
+        assert_eq!(winners.rows.len(), families.len(), "one row per family");
+        assert_eq!(winners.headers.len(), 5 + 2 * ctx.lambdas.len());
+        for row in &winners.rows {
+            let delta: f64 = row[3].parse().unwrap();
+            assert!(delta >= 0.0, "{}: the runner-up trails the winner", row[0]);
+            assert!(row[5].starts_with("cMA") || row[5].starts_with("Portfolio"));
+            assert!(row[7].ends_with("[λ=1]"), "{}: λ = 1 best meta", row[0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "perturbed the exogenous event stream")]
+    fn a_perturbed_event_stream_fails_the_run() {
+        let mut digest = Some(0);
+        let _ = scenario_runs(
+            vec![Box::new(RandomScheduler)],
+            &SimConfig::small(),
+            1,
+            RunOpts::default(),
+            &mut digest,
+        );
+    }
+
+    #[test]
+    fn budget_children_sizes_the_metaheuristic_activations() {
+        let mut ctx = test_ctx(24, 3, 1, 200);
+        ctx.families = vec![ScenarioFamily::Calm];
+        let full = dynamic(&ctx);
+        ctx.stop = StopCondition::children(1);
+        let starved = dynamic(&ctx);
+        // Compare everything but the wall-clock column.
+        let row = |tables: &[Table], i: usize| tables[0].rows[i][..11].to_vec();
+        assert_eq!(full[0].rows[0][0], "cMA");
+        assert_ne!(row(&full, 0), row(&starved, 0), "a 1-child cMA must differ");
+        for i in 2..6 {
+            assert_eq!(row(&full, i), row(&starved, i), "baselines ignore it");
         }
     }
 }

@@ -10,9 +10,11 @@ pub mod dynamic;
 pub mod figs;
 pub mod mo_front;
 pub mod pareto_exp;
+pub mod portfolio;
 pub mod robustness;
 pub mod scaling;
 pub mod significance;
+pub mod sim_scale;
 pub mod tables;
 
 use cmags_core::Problem;
@@ -49,8 +51,8 @@ pub fn tuning_problem(ctx: &Ctx) -> Problem {
     Problem::from_instance(&braun::generate(class, TUNING_STREAM))
 }
 
-/// The generated large-grid scenario shared by `eval_throughput`, the
-/// scaling sweep and the `--large` baselines run: the consistent
+/// The generated large-grid scenario shared by the scaling sweep and
+/// the `--large` baselines and portfolio runs: the consistent
 /// high/high class at 4096 jobs × 64 machines, suite stream.
 #[must_use]
 pub fn large_scenario() -> Problem {

@@ -14,8 +14,8 @@ use crate::report::{fmt_percent, fmt_value, Table};
 use crate::runner::{parallel_map, Summary};
 
 /// The swept dimensions: (jobs, machines). 4096×64 is the generated
-/// large-grid scenario the evaluator microbenchmarks
-/// (`eval_throughput`) and the portfolio bench also run on.
+/// large-grid scenario ([`super::large_scenario`]) that the `--large`
+/// baselines and portfolio runs also use.
 pub const SIZES: [(u32, u32); 5] = [(512, 16), (1024, 32), (2048, 64), (4096, 64), (4096, 128)];
 
 /// Runs the scaling sweep on the consistent hihi class.

@@ -879,8 +879,7 @@ impl EvalState {
 
     /// Reference peek for a move using the seed's merge-pass algorithm
     /// (O(jobs-per-machine) merge + O(machines) totals fold). Exists as
-    /// the oracle the closed-form fast path is property-tested against
-    /// and as the baseline `eval_throughput` measures speedups from.
+    /// the oracle the closed-form fast path is property-tested against.
     #[doc(hidden)]
     #[must_use]
     pub fn peek_move_merge(

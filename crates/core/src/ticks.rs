@@ -74,8 +74,9 @@ pub const TICK_SHIFT: u32 = 32;
 const TICK_SCALE: f64 = (1u64 << TICK_SHIFT) as f64;
 
 /// Magnitude (in time units) below which a scaled value fits an `i64`:
-/// `2³¹ · 2³² = 2⁶³`.
-const RANGE: f64 = (1u64 << 31) as f64;
+/// `2³¹ · 2³² = 2⁶³`. Shared with the `.etc` parser, which rejects cells
+/// at or beyond it.
+const RANGE: f64 = cmags_etc::TIME_RANGE;
 
 /// Magnitude (in time units) below which the scaled value is under
 /// `2⁵¹`, the domain of the magic-constant rounding in [`quantise`].

@@ -56,4 +56,4 @@ pub mod stats;
 
 pub use consistency::{Consistency, Heterogeneity, InstanceClass, ParseClassError};
 pub use instance::GridInstance;
-pub use matrix::EtcMatrix;
+pub use matrix::{EtcMatrix, TIME_RANGE};

@@ -2,6 +2,13 @@
 
 use crate::Consistency;
 
+/// Exclusive upper bound, in time units, on the times the workspace's
+/// fixed-point tick arithmetic (`cmags_core::ticks`) represents exactly:
+/// `2³¹ ≈ 2.1·10⁹` units, where the `2⁻³²`-unit tick count of a value
+/// reaches `2⁶³` and saturates. The `.etc` parser rejects cells at or
+/// beyond it.
+pub const TIME_RANGE: f64 = (1u64 << 31) as f64;
+
 /// A dense `nb_jobs × nb_machines` matrix of expected execution times.
 ///
 /// Storage is row-major (`data[job * nb_machines + machine]`), so scanning

@@ -12,7 +12,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::{EtcMatrix, GridInstance};
+use crate::{EtcMatrix, GridInstance, TIME_RANGE};
 
 /// Errors produced while parsing an instance file.
 #[derive(Debug)]
@@ -21,6 +21,14 @@ pub enum ParseError {
     Io(io::Error),
     /// A token could not be parsed as a positive real.
     BadToken {
+        /// 1-based token position in the stream.
+        position: usize,
+        /// The offending token.
+        token: String,
+    },
+    /// A cell lies at or beyond [`TIME_RANGE`] (2³¹ time units), where
+    /// the fixed-point tick arithmetic would silently saturate.
+    OutOfRange {
         /// 1-based token position in the stream.
         position: usize,
         /// The offending token.
@@ -44,6 +52,12 @@ impl std::fmt::Display for ParseError {
             ParseError::Io(e) => write!(f, "i/o error: {e}"),
             ParseError::BadToken { position, token } => {
                 write!(f, "token #{position} ({token:?}) is not a positive real")
+            }
+            ParseError::OutOfRange { position, token } => {
+                write!(
+                    f,
+                    "token #{position} ({token:?}) is not below 2^31 time units"
+                )
             }
             ParseError::BadShape { found, expected } => {
                 write!(f, "found {found} values, expected {expected}")
@@ -101,7 +115,9 @@ pub fn parse_matrix(text: &str, dims: Option<(usize, usize)>) -> Result<EtcMatri
         return Err(ParseError::MissingData);
     }
 
-    let (nb_jobs, nb_machines, data) = match dims {
+    // `header` counts the tokens before the first cell, so a cell's
+    // stream position is `header + index + 1`.
+    let (nb_jobs, nb_machines, header, data) = match dims {
         Some((jobs, machines)) => {
             if values.len() != jobs * machines {
                 return Err(ParseError::BadShape {
@@ -109,7 +125,7 @@ pub fn parse_matrix(text: &str, dims: Option<(usize, usize)>) -> Result<EtcMatri
                     expected: jobs * machines,
                 });
             }
-            (jobs, machines, values)
+            (jobs, machines, 0, values)
         }
         None => {
             // Detect a header: two leading integral tokens that match the
@@ -118,8 +134,11 @@ pub fn parse_matrix(text: &str, dims: Option<(usize, usize)>) -> Result<EtcMatri
                 let (j, m) = (values[0], values[1]);
                 let integral = j.fract() == 0.0 && m.fract() == 0.0 && j >= 1.0 && m >= 1.0;
                 let (ju, mu) = (j as usize, m as usize);
-                if integral && values.len() == 2 + ju * mu {
-                    (ju, mu, values[2..].to_vec())
+                // Checked: a huge header would otherwise overflow (a
+                // panic in debug builds, a wrapped shape in release).
+                let cells = ju.checked_mul(mu).and_then(|n| n.checked_add(2));
+                if integral && cells == Some(values.len()) {
+                    (ju, mu, 2, values[2..].to_vec())
                 } else {
                     return Err(ParseError::MissingData);
                 }
@@ -130,10 +149,17 @@ pub fn parse_matrix(text: &str, dims: Option<(usize, usize)>) -> Result<EtcMatri
     };
 
     // Validate positivity here so we can produce a parse error instead of
-    // the EtcMatrix constructor panic.
+    // the EtcMatrix constructor panic, and the tick range so an oversized
+    // cell cannot saturate silently downstream.
     if let Some(pos) = data.iter().position(|&v| !(v.is_finite() && v > 0.0)) {
         return Err(ParseError::BadToken {
-            position: pos + 1,
+            position: header + pos + 1,
+            token: data[pos].to_string(),
+        });
+    }
+    if let Some(pos) = data.iter().position(|&v| v >= TIME_RANGE) {
+        return Err(ParseError::OutOfRange {
+            position: header + pos + 1,
             token: data[pos].to_string(),
         });
     }
@@ -233,6 +259,18 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_header_is_missing_data() {
+        // 10¹⁹ × 10¹⁹ overflows usize; 274177 × 67280421310721 is
+        // 2⁶⁴ + 1, which wraps to exactly the one cell that follows.
+        for text in ["1e19 1e19 1", "274177 67280421310721 1"] {
+            assert!(
+                matches!(parse_matrix(text, None), Err(ParseError::MissingData)),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_input_is_missing_data() {
         assert!(matches!(
             parse_matrix("  \n# nothing\n", None),
@@ -243,7 +281,35 @@ mod tests {
     #[test]
     fn non_positive_value_rejected() {
         let err = parse_matrix("2 2\n1 2\n-3 4\n", None).unwrap_err();
-        assert!(matches!(err, ParseError::BadToken { .. }));
+        match err {
+            ParseError::BadToken { position, token } => {
+                assert_eq!(position, 5, "stream position, header included");
+                assert_eq!(token, "-3");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cells_beyond_the_tick_range_rejected() {
+        // Ticks saturate at 2³¹ units: accepted, this instance would
+        // evaluate to makespan 2·2³¹ instead of 7·10⁹.
+        let err = parse_matrix("2 2\n3e9 5e9\n4e9 1\n", None).unwrap_err();
+        match err {
+            ParseError::OutOfRange { position, token } => {
+                assert_eq!(position, 3);
+                assert_eq!(token, "3000000000");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // The bound is exclusive: the largest cell below it still parses.
+        let below = TIME_RANGE.next_down().to_string();
+        assert!(parse_matrix(&format!("1 1 1 {below}"), Some((2, 2))).is_ok());
+        let at = TIME_RANGE.to_string();
+        assert!(matches!(
+            parse_matrix(&format!("1 1 1 {at}"), Some((2, 2))),
+            Err(ParseError::OutOfRange { position: 4, .. })
+        ));
     }
 
     #[test]

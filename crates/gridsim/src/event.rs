@@ -28,8 +28,8 @@
 //! * [`QueueKind::Heap`] — the seed's `BinaryHeap` kept as the hidden
 //!   *reference* implementation (the same oracle pattern as the
 //!   `peek_*_merge` evaluator reference): property tests pin the
-//!   calendar queue against it on random streams, and the
-//!   `million_jobs` bench reports it as the before/after baseline.
+//!   calendar queue against it on random streams, and the `sim_scale`
+//!   experiment of `cmags-bench` times both in its hold model.
 //!
 //! Both backends support **lazy cancellation** (the dslab
 //! `SimulationState` idiom): [`EventQueue::cancel`] marks a scheduled

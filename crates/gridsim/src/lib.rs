@@ -58,7 +58,7 @@
 //!   works out of reusable scratch — the hot loop is allocation-free
 //!   in steady state. A `BinaryHeap` reference backend
 //!   ([`QueueKind::Heap`]) is retained and pinned bit-identical for
-//!   oracle tests and the `million_jobs` benchmark baseline.
+//!   oracle tests and the `sim_scale` hold-model baseline.
 //!
 //! ## Example
 //!

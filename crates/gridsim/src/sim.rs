@@ -181,8 +181,8 @@ impl SimConfig {
     /// lolo machines under stationary Poisson arrivals at `rate` jobs/s
     /// over `horizon` seconds (≈ `rate · horizon` total jobs), a fixed
     /// pool, no noise, and an uncapped event valve sized from the
-    /// expected traffic. The `million_jobs` bench drives this at 10⁴
-    /// machines × 10⁶ jobs.
+    /// expected traffic. The `sim_scale` experiment of `cmags-bench`
+    /// drives this at 10⁴ machines × 10⁶ jobs under `--large`.
     ///
     /// # Panics
     ///
