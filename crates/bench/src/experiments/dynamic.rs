@@ -21,7 +21,7 @@ use cmags_cma::StopCondition;
 use cmags_core::telemetry::{MetricsRegistry, Phase};
 use cmags_core::Objective;
 use cmags_gridsim::scheduler::{
-    BatchScheduler, CmaScheduler, HeuristicScheduler, PortfolioScheduler, RandomScheduler,
+    BatchScheduler, CmaScheduler, HeuristicScheduler, PortfolioScheduler,
 };
 use cmags_gridsim::{ScenarioFamily, SimConfig, Simulation, TelemetryReport};
 use cmags_heuristics::constructive::ConstructiveKind;
@@ -46,7 +46,7 @@ fn baselines() -> Vec<Box<dyn BatchScheduler>> {
         Box::new(HeuristicScheduler::new(ConstructiveKind::MinMin)),
         Box::new(HeuristicScheduler::new(ConstructiveKind::Mct)),
         Box::new(HeuristicScheduler::new(ConstructiveKind::Olb)),
-        Box::new(RandomScheduler),
+        Box::new(HeuristicScheduler::new(ConstructiveKind::Random)),
     ]
 }
 
@@ -557,7 +557,7 @@ mod tests {
     fn a_perturbed_event_stream_fails_the_run() {
         let mut digest = Some(0);
         let _ = scenario_runs(
-            vec![Box::new(RandomScheduler)],
+            vec![Box::new(HeuristicScheduler::new(ConstructiveKind::Random))],
             &SimConfig::small(),
             1,
             RunOpts::default(),

@@ -144,13 +144,6 @@ impl CmaConfig {
         self
     }
 
-    /// Replaces the mutation sweep order.
-    #[must_use]
-    pub fn with_mut_order(mut self, order: SweepOrder) -> Self {
-        self.mut_order = order;
-        self
-    }
-
     /// Replaces the population dimensions.
     ///
     /// # Panics
@@ -193,15 +186,6 @@ impl CmaConfig {
         self
     }
 
-    /// Synchronous updating across all available CPU cores — the fast
-    /// deterministic configuration for large meshes.
-    #[must_use]
-    pub fn parallel_sync(self) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.with_update_policy(UpdatePolicy::Synchronous)
-            .with_threads(threads)
-    }
-
     /// Replaces the crossover operator.
     #[must_use]
     pub fn with_crossover(mut self, crossover: Crossover) -> Self {
@@ -213,13 +197,6 @@ impl CmaConfig {
     #[must_use]
     pub fn with_mutation(mut self, mutation: Mutation) -> Self {
         self.mutation = mutation;
-        self
-    }
-
-    /// Replaces the per-offspring local search budget.
-    #[must_use]
-    pub fn with_ls_iterations(mut self, iterations: usize) -> Self {
-        self.ls_iterations = iterations;
         self
     }
 

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod diversity;
 mod engine;
 pub mod islands;
 pub mod neighborhood;
@@ -65,9 +64,9 @@ pub mod trace {
     pub use cmags_core::engine::trace::*;
 }
 
+pub use cmags_core::diversity::DiversityPoint;
 pub use cmags_core::engine::{StopCondition, TracePoint};
 pub use config::{CmaConfig, UpdatePolicy};
-pub use diversity::DiversityPoint;
 pub use engine::{inject_elite, population_diversity_of, CmaEngine, CmaOutcome, Individual};
 pub use islands::{run_islands, IslandConfig, IslandOutcome};
 pub use neighborhood::Neighborhood;

@@ -96,19 +96,6 @@ impl Neighborhood {
         out.dedup();
     }
 
-    /// Nominal size of the pattern (before wrap-around deduplication);
-    /// `None` for panmictic, whose size is the population's.
-    #[must_use]
-    pub fn nominal_size(&self) -> Option<usize> {
-        match self {
-            Neighborhood::Panmictic => None,
-            Neighborhood::L5 => Some(5),
-            Neighborhood::L9 => Some(9),
-            Neighborhood::C9 => Some(9),
-            Neighborhood::C13 => Some(13),
-        }
-    }
-
     /// Report name as used in the paper's figures.
     #[must_use]
     pub fn name(&self) -> &'static str {

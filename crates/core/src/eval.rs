@@ -625,13 +625,6 @@ impl EvalState {
         self.machines[machine as usize].completion()
     }
 
-    /// Flowtime contributed by one machine.
-    #[inline]
-    #[must_use]
-    pub fn machine_flowtime(&self, machine: MachineId) -> f64 {
-        ticks::time(self.machines[machine as usize].flowtime)
-    }
-
     /// Number of jobs currently on `machine`.
     #[inline]
     #[must_use]

@@ -210,15 +210,6 @@ impl TickHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Records a tick quantity, clamping stray negatives to zero (tick
-    /// deltas are non-negative by the simulator's clock monotonicity,
-    /// asserted in debug builds).
-    #[inline]
-    pub fn record_ticks(&mut self, ticks: i64) {
-        debug_assert!(ticks >= 0, "negative tick quantity {ticks}");
-        self.record(ticks.max(0) as u64);
-    }
-
     /// Number of recorded values.
     #[must_use]
     pub fn count(&self) -> u64 {

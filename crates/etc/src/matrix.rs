@@ -36,9 +36,10 @@ impl EtcMatrix {
     pub fn from_rows(nb_jobs: usize, nb_machines: usize, data: Vec<f64>) -> Self {
         assert!(nb_jobs > 0, "nb_jobs must be positive");
         assert!(nb_machines > 0, "nb_machines must be positive");
+        // A wrapped product must not pass for a matching length.
         assert_eq!(
-            data.len(),
-            nb_jobs * nb_machines,
+            nb_jobs.checked_mul(nb_machines),
+            Some(data.len()),
             "data length {} does not match {nb_jobs}x{nb_machines}",
             data.len()
         );
@@ -324,6 +325,16 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn rejects_wrong_length() {
         let _ = EtcMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match 274177x67280421310721")]
+    #[cfg(target_pointer_width = "64")]
+    fn rejects_a_shape_whose_product_wraps() {
+        // 274177 · 67280421310721 = 2⁶⁴ + 1: an unchecked product wraps
+        // to 1 and would accept this one-cell buffer (in release builds,
+        // where overflow is not trapped).
+        let _ = EtcMatrix::from_rows(274_177, 67_280_421_310_721, vec![1.0]);
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub(crate) enum JobPhase {
 pub(crate) struct JobState {
     /// Static characteristics.
     pub spec: JobSpec,
-    /// Arrival instant in exact ticks (the telemetry histograms' time
-    /// base; `spec.arrival` is the same instant in float seconds).
+    /// Arrival instant, ticks.
     pub arrival_ticks: i64,
     /// Start of the *current* attempt (ticks), if running.
     pub started: Option<i64>,
@@ -123,19 +122,15 @@ mod tests {
     use super::*;
 
     fn spec(id: u64) -> JobSpec {
-        JobSpec {
-            id,
-            arrival: id as f64,
-            baseline: 1.0,
-        }
+        JobSpec { id, baseline: 1.0 }
     }
 
     #[test]
     fn insert_and_access_by_id() {
         let mut arena = JobArena::default();
         arena.insert(spec(0), 0);
-        arena.insert(spec(1), 0);
-        assert_eq!(arena.get(1).spec.arrival, 1.0);
+        arena.insert(spec(1), 7);
+        assert_eq!(arena.get(1).arrival_ticks, 7);
         arena.get_mut(0).resubmissions += 1;
         assert_eq!(arena.get(0).resubmissions, 1);
     }

@@ -43,7 +43,9 @@
 //!   executed in SPT order (the evaluation convention of the whole
 //!   workspace).
 //! * [`metrics::SimReport`] aggregates realized makespan, flowtime,
-//!   waiting times, utilisation and scheduler statistics, plus a
+//!   waiting times, utilisation and scheduler statistics — kept as
+//!   exact tick totals during the run and converted to float seconds
+//!   once, at its end — plus a
 //!   [`metrics::TelemetryReport`] of always-on tick-domain telemetry:
 //!   exact wait/response histograms with p50/p95/p99, load gauges and
 //!   fault counters. Wall-clock phase profiling

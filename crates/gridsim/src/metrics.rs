@@ -3,38 +3,20 @@
 //! Two kinds of quantities live here, and they must not be conflated
 //! (the split is defined in [`cmags_core::telemetry`]):
 //!
-//! * **Tick-domain, exact, deterministic** — job counts, digests, and
-//!   the [`TelemetryReport`] histograms/gauges. These replay
-//!   bit-identically across runs, queue backends and worker-thread
-//!   counts, and the determinism tests pin them.
+//! * **Tick-domain, exact, deterministic** — job counts, digests, the
+//!   [`TelemetryReport`] histograms/gauges, and the simulated-time
+//!   aggregates. Those are exact integer tick totals during the run
+//!   (flowtime, makespan, busy and available machine time; the wait
+//!   and response sums are the histograms' own exact sums), converted
+//!   to the float-second fields of [`SimReport`] once, when the run
+//!   ends. They replay bit-identically across runs, queue backends and
+//!   worker-thread counts, and the determinism tests pin them.
 //! * **Wall-clock, informational-only** — `scheduler_wall_s`,
 //!   `sim_wall_s`, and the [`TelemetryReport::phases`] durations. They
 //!   vary run to run; nothing deterministic may depend on them.
 
 use cmags_core::telemetry::{Gauge, PhaseProfile, TickHistogram};
-
-/// Per-job record of one completed job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobRecord {
-    /// Job id.
-    pub job: u64,
-    /// Arrival time.
-    pub arrival: f64,
-    /// The final attempt's execution start.
-    pub started: f64,
-    /// Completion time.
-    pub finished: f64,
-    /// Waiting time (final-attempt start − arrival) in exact ticks —
-    /// the histogram-domain twin of `started - arrival`.
-    pub wait_ticks: u64,
-    /// Response time (completion − arrival) in exact ticks.
-    pub response_ticks: u64,
-    /// How many times the job was (re)submitted after machine departures.
-    pub resubmissions: u32,
-    /// How many execution attempts were lost to transient failures or
-    /// machine crashes before this completion.
-    pub failures: u32,
-}
+use cmags_core::ticks;
 
 /// Deterministic telemetry of one simulation run: tick-domain
 /// histograms and gauges (exact, pinned by the determinism tests) plus
@@ -96,9 +78,11 @@ pub struct SimReport {
     pub realized_makespan: f64,
     /// Sum of completion times (the paper's flowtime definition).
     pub flowtime: f64,
-    /// Sum of response times (completion − arrival).
+    /// Sum of response times (completion − arrival): the response
+    /// histogram's exact sum, in seconds.
     pub total_response: f64,
-    /// Sum of waiting times (final attempt's start − arrival).
+    /// Sum of waiting times (final attempt's start − arrival): the wait
+    /// histogram's exact sum, in seconds.
     pub total_wait: f64,
     /// Scheduler activations that had work to plan.
     pub activations: u64,
@@ -136,6 +120,16 @@ pub struct SimReport {
     /// Deterministic telemetry: tail-latency histograms, load gauges,
     /// and (when profiling is on) the wall-clock phase profile.
     pub telemetry: TelemetryReport,
+    /// Latest completion instant, ticks.
+    makespan_ticks: i64,
+    /// Sum of completion instants, ticks.
+    flowtime_ticks: i128,
+    /// Machine busy time, ticks: each attempt adds its span to the
+    /// scheduled finish or failure, and a crash or departure refunds
+    /// the unexecuted tail.
+    pub(crate) busy_ticks: i128,
+    /// Machine availability, ticks: alive machines × elapsed time.
+    pub(crate) available_ticks: i128,
 }
 
 impl SimReport {
@@ -169,7 +163,7 @@ impl SimReport {
         self.telemetry
             .wait
             .quantile(q)
-            .map(|t| cmags_core::ticks::time(i128::from(t)))
+            .map(|t| ticks::time(i128::from(t)))
     }
 
     /// A response-time percentile in seconds (see
@@ -179,7 +173,7 @@ impl SimReport {
         self.telemetry
             .response
             .quantile(q)
-            .map(|t| cmags_core::ticks::time(i128::from(t)))
+            .map(|t| ticks::time(i128::from(t)))
     }
 
     /// Fraction of available machine time spent busy, in `[0, 1]`.
@@ -209,18 +203,36 @@ impl SimReport {
         self.max_failures = self.max_failures.max(failures);
     }
 
-    /// Folds one completed job into the aggregates (means *and* the
-    /// exact tick-domain tail histograms).
-    pub fn record_completion(&mut self, record: &JobRecord) {
+    /// Folds one completed job into the aggregates and the tail
+    /// histograms, from its arrival, final-attempt start and completion
+    /// instants (ticks).
+    pub(crate) fn record_completion(
+        &mut self,
+        arrival: i64,
+        started: i64,
+        finished: i64,
+        resubmissions: u32,
+        failures: u32,
+    ) {
+        debug_assert!(arrival <= started && started <= finished);
         self.jobs_completed += 1;
-        self.realized_makespan = self.realized_makespan.max(record.finished);
-        self.flowtime += record.finished;
-        self.total_response += record.finished - record.arrival;
-        self.total_wait += record.started - record.arrival;
-        self.telemetry.wait.record(record.wait_ticks);
-        self.telemetry.response.record(record.response_ticks);
-        self.resubmissions += u64::from(record.resubmissions);
-        self.note_attempts(record.resubmissions, record.failures);
+        self.makespan_ticks = self.makespan_ticks.max(finished);
+        self.flowtime_ticks += i128::from(finished);
+        self.telemetry.wait.record((started - arrival) as u64);
+        self.telemetry.response.record((finished - arrival) as u64);
+        self.resubmissions += u64::from(resubmissions);
+        self.note_attempts(resubmissions, failures);
+    }
+
+    /// Fills the float-second aggregates from the exact tick totals:
+    /// the simulator calls this once, when the run ends.
+    pub(crate) fn settle(&mut self) {
+        self.realized_makespan = ticks::time(i128::from(self.makespan_ticks));
+        self.flowtime = ticks::time(self.flowtime_ticks);
+        self.total_response = ticks::time(self.telemetry.response.sum() as i128);
+        self.total_wait = ticks::time(self.telemetry.wait.sum() as i128);
+        self.busy_machine_seconds = ticks::time(self.busy_ticks);
+        self.available_machine_seconds = ticks::time(self.available_ticks);
     }
 }
 
@@ -239,24 +251,26 @@ fn fnv_fold(digest: &mut u64, parts: &[u64]) {
 mod tests {
     use super::*;
 
-    fn record(arrival: f64, started: f64, finished: f64) -> JobRecord {
-        JobRecord {
-            job: 0,
-            arrival,
-            started,
-            finished,
-            wait_ticks: cmags_core::ticks::ticks(started - arrival).max(0) as u64,
-            response_ticks: cmags_core::ticks::ticks(finished - arrival).max(0) as u64,
-            resubmissions: 0,
-            failures: 0,
+    /// A report of completions `(arrival, started, finished)` in
+    /// seconds, quantised to ticks and settled.
+    fn settled(jobs: &[(f64, f64, f64)]) -> SimReport {
+        let mut report = SimReport::default();
+        for &(arrival, started, finished) in jobs {
+            report.record_completion(
+                ticks::ticks(arrival),
+                ticks::ticks(started),
+                ticks::ticks(finished),
+                0,
+                0,
+            );
         }
+        report.settle();
+        report
     }
 
     #[test]
     fn aggregates_accumulate() {
-        let mut report = SimReport::default();
-        report.record_completion(&record(0.0, 1.0, 5.0));
-        report.record_completion(&record(2.0, 2.0, 10.0));
+        let report = settled(&[(0.0, 1.0, 5.0), (2.0, 2.0, 10.0)]);
         assert_eq!(report.jobs_completed, 2);
         assert_eq!(report.realized_makespan, 10.0);
         assert_eq!(report.flowtime, 15.0);
@@ -264,6 +278,33 @@ mod tests {
         assert_eq!(report.total_wait, 1.0);
         assert_eq!(report.mean_response(), 6.5);
         assert_eq!(report.mean_wait(), 0.5);
+    }
+
+    #[test]
+    fn aggregates_are_exact_tick_sums() {
+        // 0.1 s is not dyadic: a float fold of ten thousand quantised
+        // completions drifts, the tick sum converts once.
+        let mut report = SimReport::default();
+        let tenth = ticks::ticks(0.1);
+        for i in 1..=10_000i64 {
+            report.record_completion(0, 0, i * tenth, 0, 0);
+        }
+        report.busy_ticks = i128::from(3 * tenth);
+        report.available_ticks = i128::from(4 * tenth);
+        report.settle();
+        let sum: i128 = (1..=10_000i128).map(|i| i * i128::from(tenth)).sum();
+        assert_eq!(report.flowtime, ticks::time(sum));
+        assert_eq!(report.total_response, ticks::time(sum));
+        assert_eq!(report.total_wait, 0.0);
+        assert_eq!(
+            report.realized_makespan,
+            ticks::time(i128::from(10_000 * tenth))
+        );
+        assert_eq!(
+            report.busy_machine_seconds,
+            ticks::time(i128::from(3 * tenth))
+        );
+        assert_eq!(report.utilization(), 0.75);
     }
 
     #[test]
@@ -296,24 +337,18 @@ mod tests {
     #[test]
     fn attempt_maxima_track_completions_and_drops() {
         let mut report = SimReport::default();
-        report.record_completion(&JobRecord {
-            job: 0,
-            arrival: 0.0,
-            started: 1.0,
-            finished: 2.0,
-            wait_ticks: 0,
-            response_ticks: 0,
-            resubmissions: 3,
-            failures: 1,
-        });
+        report.record_completion(0, 1, 2, 3, 1);
         report.note_attempts(1, 7); // e.g. a dropped job's final counts
+        assert_eq!(report.resubmissions, 3);
         assert_eq!(report.max_resubmits, 3);
         assert_eq!(report.max_failures, 7);
     }
 
     #[test]
     fn empty_report_means_are_zero() {
-        let report = SimReport::default();
+        let mut report = SimReport::default();
+        report.settle();
+        assert_eq!(report.realized_makespan, 0.0);
         assert_eq!(report.mean_response(), 0.0);
         assert_eq!(report.mean_wait(), 0.0);
         assert_eq!(report.utilization(), 0.0);
@@ -323,10 +358,10 @@ mod tests {
 
     #[test]
     fn percentiles_track_the_tick_histograms() {
-        let mut report = SimReport::default();
-        for i in 1..=100u32 {
-            report.record_completion(&record(0.0, f64::from(i), f64::from(i) * 2.0));
-        }
+        let jobs: Vec<_> = (1..=100u32)
+            .map(|i| (0.0, f64::from(i), f64::from(i) * 2.0))
+            .collect();
+        let report = settled(&jobs);
         let p50_wait = report.wait_percentile(0.5).expect("non-empty");
         let p99_resp = report.response_percentile(0.99).expect("non-empty");
         // Bucket-granular: at most 12.5% relative overshoot plus the
@@ -335,13 +370,9 @@ mod tests {
         assert!((198.0..=223.0).contains(&p99_resp), "p99 resp = {p99_resp}");
         assert_eq!(report.telemetry.wait.count(), 100);
         assert_eq!(report.telemetry.response.count(), 100);
-        // The histogram's exact sum agrees with the float aggregate.
-        let mean_from_hist = cmags_core::ticks::time(report.telemetry.wait.sum() as i128) / 100.0;
-        assert!(
-            (mean_from_hist - report.mean_wait()).abs() < 1e-6,
-            "histogram mean {mean_from_hist} vs float mean {}",
-            report.mean_wait()
-        );
+        // The float aggregate is the histogram's exact sum.
+        let mean_from_hist = ticks::time(report.telemetry.wait.sum() as i128) / 100.0;
+        assert_eq!(mean_from_hist, report.mean_wait());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cmags_heuristics::constructive::ConstructiveKind;
 use cmags_mo::{MoCellConfig, MoCellEngine, Nsga2Config, Nsga2Engine};
 use cmags_portfolio::{entry_seed, race, Contender, PortfolioConfig};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Display name of an objective-aware scheduler: the base name, tagged
 /// with the response weight when it deviates from the classic λ = 0
@@ -132,93 +132,6 @@ impl BatchScheduler for CmaScheduler {
             let mut rng = SmallRng::seed_from_u64(seed);
             return self.config.seeding.build_seeded(&problem, &mut rng);
         }
-        self.config.run(&problem, seed).schedule
-    }
-}
-
-/// Simulated Annealing as a batch scheduler (the classic line-up's
-/// single-trajectory alternative to the cMA's population).
-#[derive(Debug, Clone)]
-pub struct SaScheduler {
-    config: cmags_ga::SimulatedAnnealing,
-    objective: Objective,
-}
-
-impl SaScheduler {
-    /// SA scheduler with default parameters and the given
-    /// per-activation budget.
-    #[must_use]
-    pub fn new(budget: StopCondition) -> Self {
-        Self {
-            config: cmags_ga::SimulatedAnnealing::default().with_stop(budget),
-            objective: Objective::classic(),
-        }
-    }
-
-    /// Retargets every activation at the given response objective (λ).
-    #[must_use]
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-}
-
-impl Default for SaScheduler {
-    fn default() -> Self {
-        Self::new(StopCondition::children(2000))
-    }
-}
-
-impl BatchScheduler for SaScheduler {
-    fn name(&self) -> String {
-        objective_name("SA", self.objective)
-    }
-
-    fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance).targeting(self.objective);
-        self.config.run(&problem, seed).schedule
-    }
-}
-
-/// Tabu Search as a batch scheduler.
-#[derive(Debug, Clone)]
-pub struct TabuScheduler {
-    config: cmags_ga::TabuSearch,
-    objective: Objective,
-}
-
-impl TabuScheduler {
-    /// Tabu scheduler with default parameters and the given
-    /// per-activation budget.
-    #[must_use]
-    pub fn new(budget: StopCondition) -> Self {
-        Self {
-            config: cmags_ga::TabuSearch::default().with_stop(budget),
-            objective: Objective::classic(),
-        }
-    }
-
-    /// Retargets every activation at the given response objective (λ).
-    #[must_use]
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-}
-
-impl Default for TabuScheduler {
-    fn default() -> Self {
-        Self::new(StopCondition::children(2000))
-    }
-}
-
-impl BatchScheduler for TabuScheduler {
-    fn name(&self) -> String {
-        objective_name("Tabu", self.objective)
-    }
-
-    fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let problem = Problem::from_instance(instance).targeting(self.objective);
         self.config.run(&problem, seed).schedule
     }
 }
@@ -387,26 +300,6 @@ impl BatchScheduler for PortfolioScheduler {
     }
 }
 
-/// Uniform random scheduler — the lower bound baseline.
-#[derive(Debug, Clone, Default)]
-pub struct RandomScheduler;
-
-impl BatchScheduler for RandomScheduler {
-    fn name(&self) -> String {
-        "Random".to_owned()
-    }
-
-    fn schedule(&mut self, instance: &GridInstance, seed: u64) -> Schedule {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let nb_machines = instance.nb_machines() as u32;
-        Schedule::from_assignment(
-            (0..instance.nb_jobs())
-                .map(|_| rng.gen_range(0..nb_machines))
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,7 +334,7 @@ mod tests {
         let inst = instance();
         let problem = Problem::from_instance(&inst);
         let mut cma = CmaScheduler::new(StopCondition::children(300));
-        let mut random = RandomScheduler;
+        let mut random = HeuristicScheduler::new(ConstructiveKind::Random);
         let cma_fit = problem.fitness(cmags_core::evaluate(&problem, &cma.schedule(&inst, 5)));
         let rnd_fit = problem.fitness(cmags_core::evaluate(&problem, &random.schedule(&inst, 5)));
         assert!(cma_fit < rnd_fit);
@@ -457,45 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn sa_and_tabu_schedulers_are_deterministic_and_feasible() {
-        let inst = instance();
-        for (name, schedule_a, schedule_b) in [
-            (
-                "SA",
-                SaScheduler::new(StopCondition::children(200)).schedule(&inst, 7),
-                SaScheduler::new(StopCondition::children(200)).schedule(&inst, 7),
-            ),
-            (
-                "Tabu",
-                TabuScheduler::new(StopCondition::children(200)).schedule(&inst, 7),
-                TabuScheduler::new(StopCondition::children(200)).schedule(&inst, 7),
-            ),
-        ] {
-            assert_eq!(
-                schedule_a, schedule_b,
-                "{name} must be deterministic per seed"
-            );
-            assert!(
-                Schedule::try_new(schedule_a.assignment().to_vec(), 24, 4).is_ok(),
-                "{name} produced an infeasible plan"
-            );
-        }
-    }
-
-    #[test]
-    fn sa_and_tabu_beat_random_on_snapshot() {
-        let inst = instance();
-        let problem = Problem::from_instance(&inst);
-        let fitness_of =
-            |schedule: &Schedule| problem.fitness(cmags_core::evaluate(&problem, schedule));
-        let rnd = fitness_of(&RandomScheduler.schedule(&inst, 5));
-        let sa = fitness_of(&SaScheduler::new(StopCondition::children(400)).schedule(&inst, 5));
-        let tabu = fitness_of(&TabuScheduler::new(StopCondition::children(400)).schedule(&inst, 5));
-        assert!(sa < rnd, "SA {sa} vs random {rnd}");
-        assert!(tabu < rnd, "Tabu {tabu} vs random {rnd}");
-    }
-
-    #[test]
     fn portfolio_scheduler_is_deterministic_feasible_and_competitive() {
         let inst = instance();
         let problem = Problem::from_instance(&inst);
@@ -507,7 +361,7 @@ mod tests {
         assert_eq!(a.name(), "Portfolio");
         let fitness_of =
             |schedule: &Schedule| problem.fitness(cmags_core::evaluate(&problem, schedule));
-        let rnd = fitness_of(&RandomScheduler.schedule(&inst, 7));
+        let rnd = fitness_of(&HeuristicScheduler::new(ConstructiveKind::Random).schedule(&inst, 7));
         assert!(fitness_of(&plan) < rnd, "portfolio must beat random");
     }
 
@@ -537,18 +391,6 @@ mod tests {
         assert_eq!(portfolio.name(), "Portfolio[λ=1]");
         let plan = portfolio.schedule(&inst, 3);
         assert!(Schedule::try_new(plan.assignment().to_vec(), 24, 4).is_ok());
-        assert_eq!(
-            SaScheduler::new(StopCondition::children(1))
-                .with_objective(Objective::weighted(0.5))
-                .name(),
-            "SA[λ=0.5]"
-        );
-        assert_eq!(
-            TabuScheduler::new(StopCondition::children(1))
-                .with_objective(Objective::weighted(0.5))
-                .name(),
-            "Tabu[λ=0.5]"
-        );
     }
 
     #[test]
@@ -630,20 +472,5 @@ mod tests {
         let inst = GridInstance::new("tiny", etc);
         let mut s = PortfolioScheduler::default();
         assert_eq!(s.schedule(&inst, 0).assignment(), &[0]);
-    }
-
-    #[test]
-    fn sa_and_tabu_handle_degenerate_batches() {
-        let etc = EtcMatrix::from_rows(1, 1, vec![3.0]);
-        let inst = GridInstance::new("tiny", etc);
-        let budget = StopCondition::children(10);
-        assert_eq!(
-            SaScheduler::new(budget).schedule(&inst, 0).assignment(),
-            &[0]
-        );
-        assert_eq!(
-            TabuScheduler::new(budget).schedule(&inst, 0).assignment(),
-            &[0]
-        );
     }
 }

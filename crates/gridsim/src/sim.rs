@@ -11,6 +11,12 @@
 //! by the [`Simulation`]. Each machine keeps its queued work as an exact
 //! tick backlog, so a snapshot's ready time is one addition.
 //!
+//! Ticks are the only simulated-time representation inside the loop.
+//! Float seconds appear only at the workload boundary (the arrival
+//! generator's gaps, the ETC snapshot handed to the scheduler) and in
+//! the final [`SimReport`], whose aggregates are exact tick sums
+//! converted once, when the run ends.
+//!
 //! ## Observability
 //!
 //! The simulator's telemetry obeys the split defined in
@@ -32,7 +38,7 @@
 //!   Observability section. Tracing buffers through the writer and
 //!   never touches any RNG stream, so digests are unchanged.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cmags_core::telemetry::{JsonlWriter, Phase, PhaseTimer};
 use cmags_etc::{EtcMatrix, GridInstance};
@@ -47,7 +53,7 @@ use crate::fault::{
 };
 use crate::jobs::JobArena;
 use crate::machine::{MachinePool, RunningJob};
-use crate::metrics::{JobRecord, SimReport};
+use crate::metrics::SimReport;
 use crate::scenario::{ChurnModel, ScenarioFamily};
 use crate::scheduler::BatchScheduler;
 use crate::workload::{exp_gap, ArrivalGen, ArrivalProcess, JobSpec, MachineSpec, World};
@@ -259,12 +265,11 @@ pub struct Simulation {
     jobs: JobArena,
     /// Simulation clock, ticks.
     now: i64,
-    /// Simulation clock, seconds (cached conversion of `now`).
-    now_f: f64,
     next_job_id: u64,
     report: SimReport,
-    /// Tick of the last availability update (for utilisation).
-    last_avail_update: i64,
+    /// Wall-clock time spent inside the batch scheduler
+    /// (informational-only; [`SimReport::scheduler_wall_s`] at the end).
+    scheduler_wall: Duration,
     scratch: DispatchScratch,
     /// Seed of the dedicated fault streams (the run seed): fault draws
     /// are counter-based hashes, never the main RNG, so enabling
@@ -337,10 +342,9 @@ impl Simulation {
             pending: Vec::new(),
             jobs: JobArena::default(),
             now: 0,
-            now_f: 0.0,
             next_job_id: 0,
             report: SimReport::default(),
-            last_avail_update: 0,
+            scheduler_wall: Duration::ZERO,
             scratch: DispatchScratch {
                 name: "activation".to_owned(),
                 ..DispatchScratch::default()
@@ -449,16 +453,22 @@ impl Simulation {
                 timer.stop(&mut self.report.telemetry.phases);
             }
         }
-        // Final availability update and sanity: every submitted job
-        // reached a terminal state and nothing is left in flight.
-        self.advance_clock(self.now);
+        // Sanity: every submitted job reached a terminal state, nothing
+        // is left in flight, and no machine was busy longer than it was
+        // available (both exact tick sums).
         assert_eq!(
             self.report.jobs_completed + self.report.jobs_dropped,
             self.report.jobs_submitted,
             "run ended with jobs in flight"
         );
         self.check_invariants();
+        assert!(
+            self.report.busy_ticks <= self.report.available_ticks,
+            "busy machine time exceeds available machine time"
+        );
+        self.report.settle();
         self.report.events_processed = processed;
+        self.report.scheduler_wall_s = self.scheduler_wall.as_secs_f64();
         self.report.sim_wall_s = wall.elapsed().as_secs_f64();
         if let Some(trace) = self.trace.as_mut() {
             let mut record = trace
@@ -543,13 +553,8 @@ impl Simulation {
         // Exact-tick monotonicity is a chaos-harness invariant, so it
         // holds in release builds too.
         assert!(time >= self.now, "time went backwards");
-        let elapsed = ticks_to_time(time - self.last_avail_update);
-        self.report.available_machine_seconds += elapsed * self.pool.len() as f64;
-        self.last_avail_update = time;
-        if time > self.now {
-            self.now = time;
-            self.now_f = ticks_to_time(time);
-        }
+        self.report.available_ticks += i128::from(time - self.now) * self.pool.len() as i128;
+        self.now = time;
     }
 
     // --- event handlers ----------------------------------------------------
@@ -558,7 +563,6 @@ impl Simulation {
         debug_assert_eq!(job, self.next_job_id);
         let spec = JobSpec {
             id: job,
-            arrival: self.now_f,
             baseline: self.config.world.draw_baseline(&mut self.rng),
         };
         self.report
@@ -577,7 +581,9 @@ impl Simulation {
         self.next_job_id += 1;
 
         // Next arrival, if still within the horizon.
-        let gap = self.arrivals.next_gap(self.now_f, &mut self.rng);
+        let gap = self
+            .arrivals
+            .next_gap(ticks_to_time(self.now), &mut self.rng);
         self.push_within_horizon(
             gap,
             Event::JobArrival {
@@ -739,15 +745,15 @@ impl Simulation {
         // lint:allow(no-wall-clock-in-sim): legit profiling span — feeds scheduler_wall_s and the Phase::Scheduler attribution (both informational-only); the dispatch decisions below depend only on the returned schedule, never on this measurement.
         let wall = Instant::now();
         let schedule = scheduler.schedule(&instance, self.report.activations);
-        let scheduler_span = wall.elapsed().as_secs_f64();
-        self.report.scheduler_wall_s += scheduler_span;
+        let scheduler_span = wall.elapsed();
+        self.scheduler_wall += scheduler_span;
         if self.profile_on {
             // Reuse the existing measurement rather than stacking a
             // second pair of Instant reads around the scheduler call.
             self.report
                 .telemetry
                 .phases
-                .record(Phase::Scheduler, scheduler_span);
+                .record(Phase::Scheduler, scheduler_span.as_secs_f64());
         }
         self.report.activations += 1;
         assert_eq!(schedule.nb_jobs(), nb_jobs, "scheduler must plan every job");
@@ -882,7 +888,7 @@ impl Simulation {
         });
         // Busy time runs until the scheduled event (failure or finish);
         // a crash or departure mid-attempt refunds the unexecuted tail.
-        self.report.busy_machine_seconds += ticks_to_time(finish - self.now);
+        self.report.busy_ticks += i128::from(finish - self.now);
         self.jobs.get_mut(job).started.get_or_insert(self.now);
     }
 
@@ -912,30 +918,22 @@ impl Simulation {
         machine.consecutive_failures = 0;
         machine.blacklisted_until = 0;
         let state = self.jobs.complete(job);
-        let started_ticks = state.started.expect("finished job must have started");
-        // Exact tick-domain twins of the float wait/response aggregates
-        // (final-attempt start − arrival, completion − arrival); these
-        // feed the telemetry histograms the percentiles resolve from.
-        let wait_ticks = (started_ticks - state.arrival_ticks).max(0) as u64;
-        let response_ticks = (self.now - state.arrival_ticks).max(0) as u64;
-        self.report.record_completion(&JobRecord {
-            job,
-            arrival: state.spec.arrival,
-            started: ticks_to_time(started_ticks),
-            finished: self.now_f,
-            wait_ticks,
-            response_ticks,
-            resubmissions: state.resubmissions,
-            failures: state.failures,
-        });
+        let started = state.started.expect("finished job must have started");
+        self.report.record_completion(
+            state.arrival_ticks,
+            started,
+            self.now,
+            state.resubmissions,
+            state.failures,
+        );
         if let Some(trace) = self.trace.as_mut() {
             trace
                 .record("finish")
                 .i64("t", self.now)
                 .u64("job", job)
                 .u64("machine", machine_id)
-                .u64("wait_ticks", wait_ticks)
-                .u64("response_ticks", response_ticks)
+                .u64("wait_ticks", (started - state.arrival_ticks) as u64)
+                .u64("response_ticks", (self.now - state.arrival_ticks) as u64)
                 .end();
         }
         self.maybe_quiesce_faults();
@@ -1112,7 +1110,7 @@ impl Simulation {
             // the unexecuted busy tail, and send the job down the same
             // retry path as a transient failure.
             self.events.cancel(running.finish_event);
-            self.report.busy_machine_seconds -= ticks_to_time(running.finish - self.now);
+            self.report.busy_ticks -= i128::from(running.finish - self.now);
             self.report.job_failures += 1;
             self.report
                 .fold_fault(&[4, running.job, machine_id, self.now as u64]);
@@ -1283,8 +1281,7 @@ impl Simulation {
             let mut orphans = dead.take_queue();
             if let Some(running) = dead.running {
                 self.events.cancel(running.finish_event);
-                let refund = ticks_to_time(running.finish - self.now);
-                self.report.busy_machine_seconds -= refund;
+                self.report.busy_ticks -= i128::from(running.finish - self.now);
                 self.salvage_checkpoint(running.job, running.planned);
                 orphans.push_front(running.job);
             }
@@ -1336,7 +1333,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{CmaScheduler, HeuristicScheduler, RandomScheduler};
+    use crate::scheduler::{CmaScheduler, HeuristicScheduler};
     use cmags_cma::StopCondition;
     use cmags_heuristics::constructive::ConstructiveKind;
 
@@ -1382,7 +1379,7 @@ mod tests {
     fn better_scheduler_means_better_flowtime() {
         let config = SimConfig::small();
         let mut minmin = HeuristicScheduler::new(ConstructiveKind::MinMin);
-        let mut random = RandomScheduler;
+        let mut random = HeuristicScheduler::new(ConstructiveKind::Random);
         let good = Simulation::new(config.clone(), 5).run(&mut minmin);
         let bad = Simulation::new(config, 5).run(&mut random);
         assert!(
@@ -1586,7 +1583,10 @@ mod tests {
             digest_of(&mut HeuristicScheduler::new(ConstructiveKind::Mct)),
             reference
         );
-        assert_eq!(digest_of(&mut RandomScheduler), reference);
+        assert_eq!(
+            digest_of(&mut HeuristicScheduler::new(ConstructiveKind::Random)),
+            reference
+        );
         assert_eq!(
             digest_of(&mut CmaScheduler::new(StopCondition::children(60))),
             reference
@@ -1681,14 +1681,7 @@ mod tests {
         // lives in tests/dynamic_grid.rs.
         let mut sim = Simulation::new(SimConfig::small(), 1);
         for id in 0..4u64 {
-            sim.jobs.insert(
-                JobSpec {
-                    id,
-                    arrival: 0.0,
-                    baseline: 1.0,
-                },
-                0,
-            );
+            sim.jobs.insert(JobSpec { id, baseline: 1.0 }, 0);
             sim.report.jobs_submitted += 1;
         }
         sim.next_job_id = 4;

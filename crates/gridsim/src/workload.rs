@@ -26,8 +26,6 @@ use rand::Rng;
 pub struct JobSpec {
     /// Job identifier.
     pub id: u64,
-    /// Arrival time.
-    pub arrival: f64,
     /// Baseline workload `B_j`.
     pub baseline: f64,
 }
@@ -418,11 +416,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn job(id: u64, baseline: f64) -> JobSpec {
-        JobSpec {
-            id,
-            arrival: 0.0,
-            baseline,
-        }
+        JobSpec { id, baseline }
     }
 
     fn machine(id: u64, slowness: f64) -> MachineSpec {

@@ -340,11 +340,12 @@ fn telemetry_attachments_never_perturb_the_simulation() {
 }
 
 #[test]
-fn histograms_agree_with_the_float_metrics() {
+fn report_means_are_the_histograms_exact_sums() {
     let mut scheduler = HeuristicScheduler::new(ConstructiveKind::Mct);
     let report =
         Simulation::new(SimConfig::from_family(ScenarioFamily::Calm), 3).run(&mut scheduler);
     assert!(report.jobs_completed > 0);
+    let n = report.jobs_completed as f64;
     for (hist, mean, what) in [
         (&report.telemetry.wait, report.mean_wait(), "wait"),
         (
@@ -354,10 +355,10 @@ fn histograms_agree_with_the_float_metrics() {
         ),
     ] {
         assert_eq!(hist.count(), report.jobs_completed, "{what}: count");
-        let hist_mean_s = cmags_core::ticks::time((hist.sum() / u128::from(hist.count())) as i128);
-        assert!(
-            (hist_mean_s - mean).abs() <= 1e-6 * mean.abs().max(1.0),
-            "{what}: histogram mean {hist_mean_s} vs float mean {mean}"
+        assert_eq!(
+            mean,
+            cmags_core::ticks::time(hist.sum() as i128) / n,
+            "{what}: the report mean must be the histogram's exact sum"
         );
     }
     // The percentile accessors are clamped into the observed range and

@@ -146,18 +146,6 @@ impl MoCellConfig {
         self
     }
 
-    /// Replaces the archive capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_archive_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "archive capacity must be positive");
-        self.archive_capacity = capacity;
-        self
-    }
-
     /// Replaces the local-search method (e.g. `None` for a plain
     /// cellular MO GA ablation).
     #[must_use]

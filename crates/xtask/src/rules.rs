@@ -37,7 +37,7 @@
 //! rules, and pragmas that suppress nothing are themselves findings,
 //! so suppressions cannot rot silently.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::{lex, Comment};
 
@@ -487,11 +487,6 @@ fn next_word<'a>(bytes: &[u8], masked: &'a str, i: usize) -> Option<&'a str> {
         j += 1;
     }
     (j > start).then(|| &masked[start..j])
-}
-
-/// All rule names, for validation and docs.
-pub fn rule_names() -> BTreeSet<&'static str> {
-    RULES.iter().map(|r| r.name).collect()
 }
 
 #[cfg(test)]

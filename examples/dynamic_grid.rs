@@ -8,9 +8,7 @@
 //! cargo run --release --example dynamic_grid
 //! ```
 
-use cmags::gridsim::scheduler::{
-    BatchScheduler, CmaScheduler, HeuristicScheduler, RandomScheduler,
-};
+use cmags::gridsim::scheduler::{BatchScheduler, CmaScheduler, HeuristicScheduler};
 use cmags::gridsim::{ScenarioFamily, SimConfig, Simulation};
 use cmags::prelude::*;
 
@@ -32,7 +30,7 @@ fn main() {
         let schedulers: Vec<Box<dyn BatchScheduler>> = vec![
             Box::new(CmaScheduler::new(StopCondition::children(1_500))),
             Box::new(HeuristicScheduler::new(ConstructiveKind::MinMin)),
-            Box::new(RandomScheduler),
+            Box::new(HeuristicScheduler::new(ConstructiveKind::Random)),
         ];
         for mut scheduler in schedulers {
             let report = Simulation::new(config.clone(), 2024).run(scheduler.as_mut());

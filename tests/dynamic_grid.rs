@@ -1,6 +1,6 @@
 //! Integration tests of the dynamic-scheduler claim on the simulator.
 
-use cmags::gridsim::scheduler::{CmaScheduler, HeuristicScheduler, RandomScheduler};
+use cmags::gridsim::scheduler::{CmaScheduler, HeuristicScheduler};
 use cmags::gridsim::{QueueKind, ScenarioFamily, SimConfig, Simulation};
 use cmags::prelude::*;
 use proptest::prelude::*;
@@ -17,7 +17,7 @@ fn cma_batch_mode_completes_a_dynamic_workload() {
 #[test]
 fn cma_beats_random_dispatch_on_identical_traces() {
     let mut cma = CmaScheduler::new(StopCondition::children(400));
-    let mut random = RandomScheduler;
+    let mut random = HeuristicScheduler::new(ConstructiveKind::Random);
     let good = Simulation::new(SimConfig::small(), 9).run(&mut cma);
     let bad = Simulation::new(SimConfig::small(), 9).run(&mut random);
     assert!(
