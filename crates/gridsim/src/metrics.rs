@@ -282,8 +282,8 @@ mod tests {
 
     #[test]
     fn aggregates_are_exact_tick_sums() {
-        // 0.1 s is not dyadic: a float fold of ten thousand quantised
-        // completions drifts, the tick sum converts once.
+        // Completions at multiples of the 0.1 s tick: a float fold of
+        // their seconds drifts from the exact sum, which converts once.
         let mut report = SimReport::default();
         let tenth = ticks::ticks(0.1);
         for i in 1..=10_000i64 {
@@ -293,6 +293,10 @@ mod tests {
         report.available_ticks = i128::from(4 * tenth);
         report.settle();
         let sum: i128 = (1..=10_000i128).map(|i| i * i128::from(tenth)).sum();
+        let float_fold: f64 = (1..=10_000i128)
+            .map(|i| ticks::time(i * i128::from(tenth)))
+            .sum();
+        assert_ne!(float_fold, ticks::time(sum), "the fold must drift here");
         assert_eq!(report.flowtime, ticks::time(sum));
         assert_eq!(report.total_response, ticks::time(sum));
         assert_eq!(report.total_wait, 0.0);
