@@ -14,11 +14,16 @@
 //! * **applying** a move/swap costs the `memmove` of the slot/prefix
 //!   vectors plus O(1) delta updates of the global totals (the top-3
 //!   cache rescans machines only when a cached maximum shrinks);
-//! * **batched scoring** ([`EvalState::score_moves`] /
-//!   [`EvalState::score_swaps`]) evaluates a whole candidate set into a
-//!   reusable structure-of-arrays [`ScoreBuf`], amortising schedule and
-//!   ETC-row access across candidates — the API the local-search
-//!   strategies, tabu search and SA drive.
+//! * **batched move scoring** ([`EvalState::score_moves`]) evaluates a
+//!   whole candidate set into a reusable structure-of-arrays
+//!   [`ScoreBuf`], amortising schedule and ETC-row access across
+//!   candidates — the API the move-based strategies, tabu search and SA
+//!   drive;
+//! * **the swap scan** ([`EvalState::best_swap`]) ranks every swap
+//!   partner of one anchor job and keeps only the winner. It walks each
+//!   partner machine's SPT slot list in order, so a partner's position
+//!   is the loop index, and resolves the anchor's insertion point, the
+//!   rest-of-schedule makespan and flowtime once per machine.
 //!
 //! All arithmetic happens in exact fixed-point ticks (see
 //! [`crate::ticks`]): integer addition is order-independent, so the
@@ -178,8 +183,8 @@ impl MachineState {
     }
 
     /// [`MachineState::peek_replaced`] with the insertion `point` of
-    /// `add` (over the **full** slot list) already known — batched swap
-    /// scoring caches it per machine. O(1).
+    /// `add` (over the **full** slot list) already known — the swap scan
+    /// computes it once per partner machine. O(1).
     fn peek_replaced_at(&self, skip: usize, add: Slot, point: usize) -> (i128, i128) {
         let n = self.slots.len();
         let etc_out = i128::from(self.slots[skip].etc);
@@ -303,8 +308,8 @@ impl TopCompletions {
     }
 }
 
-/// Reusable structure-of-arrays result buffer of the batched scoring
-/// API ([`EvalState::score_moves`] / [`EvalState::score_swaps`]).
+/// Reusable structure-of-arrays result buffer of the batched move
+/// scoring API ([`EvalState::score_moves`]).
 ///
 /// Objectives are stored column-wise (`makespan[i]`, `flowtime[i]`),
 /// which keeps candidate scoring allocation-free across calls and leaves
@@ -313,10 +318,6 @@ impl TopCompletions {
 pub struct ScoreBuf {
     makespan: Vec<f64>,
     flowtime: Vec<f64>,
-    /// Per-machine scratch of [`EvalState::score_swaps`]: the anchor
-    /// slot's insertion point on each partner machine, computed lazily
-    /// once per batch (`usize::MAX` = not yet computed).
-    anchor_points: Vec<usize>,
 }
 
 impl ScoreBuf {
@@ -530,8 +531,8 @@ fn best_scored<F: Fn(f64, f64) -> f64>(mk: &[f64], ft: &[f64], score: F) -> Opti
 /// lockstep with the schedule through [`EvalState::apply_move`] /
 /// [`EvalState::apply_swap`]. Probing neighbours without committing uses
 /// [`EvalState::peek_move`] / [`EvalState::peek_swap`] for single
-/// candidates and [`EvalState::score_moves`] / [`EvalState::score_swaps`]
-/// for candidate sets.
+/// candidates, [`EvalState::score_moves`] for move sets and
+/// [`EvalState::best_swap`] for an anchor's whole swap neighbourhood.
 ///
 /// The state is value-like (`Clone`) so population-based algorithms clone
 /// it together with the schedule.
@@ -645,30 +646,14 @@ impl EvalState {
     }
 
     /// Machines sorted ascending by completion time (ties by index) —
-    /// "less overloaded first", as the rebalance mutation requires.
-    ///
-    /// Allocates; hot paths should reuse a buffer through
-    /// [`EvalState::machines_by_completion_into`].
+    /// "less overloaded first", the order the rebalance mutation ranks
+    /// its targets in. Allocates and sorts every machine; the mutation
+    /// itself selects by rank without this full order.
     #[must_use]
     pub fn machines_by_completion(&self) -> Vec<MachineId> {
-        let mut order = Vec::new();
-        self.machines_by_completion_into(&mut order);
+        let mut order: Vec<MachineId> = (0..self.machines.len() as MachineId).collect();
+        order.sort_unstable_by_key(|&m| (self.machines[m as usize].completion(), m));
         order
-    }
-
-    /// Fills `out` with the machines sorted ascending by completion time
-    /// (ties by index), reusing its capacity — the allocation-free
-    /// variant of [`EvalState::machines_by_completion`] for the
-    /// rebalance-mutation hot path.
-    pub fn machines_by_completion_into(&self, out: &mut Vec<MachineId>) {
-        out.clear();
-        out.extend(0..self.machines.len() as MachineId);
-        out.sort_unstable_by(|&a, &b| {
-            self.machines[a as usize]
-                .completion()
-                .cmp(&self.machines[b as usize].completion())
-                .then(a.cmp(&b))
-        });
     }
 
     /// Objectives the schedule would have after moving `job` to `to`.
@@ -758,64 +743,71 @@ impl EvalState {
         }
     }
 
-    /// Scores swapping `anchor` against each job in `partners` into
-    /// `out`, aligned with `partners`. Bit-identical to calling
-    /// [`EvalState::peek_swap`] per pair; the anchor's machine, SPT
-    /// position and ETC row are resolved once for the whole batch (the
-    /// LMCTS pattern).
-    pub fn score_swaps(
+    /// The best swap partner of `anchor` under `rank`, with the
+    /// objectives that swap would produce; `None` when every job shares
+    /// the anchor's machine.
+    ///
+    /// The winner is the lexicographic minimum of `(rank, partner)`:
+    /// exactly the first minimum of a strict-`<` scan of
+    /// [`EvalState::peek_swap`] over the partners in ascending job order,
+    /// with the same objective bits.
+    ///
+    /// Each machine holding a partner is walked once, reached from the
+    /// assignment through the job in its SPT head slot, so the scan
+    /// needs no scratch and no per-machine pass. Along a machine's slot
+    /// list the partner's position is the loop index; the anchor's
+    /// insertion point there, the makespan of the other machines and
+    /// their flowtime are resolved once per machine.
+    pub fn best_swap<R: Fn(Objectives) -> f64>(
         &self,
         problem: &Problem,
         schedule: &Schedule,
         anchor: JobId,
-        partners: &[JobId],
-        out: &mut ScoreBuf,
-    ) {
-        out.clear_and_reserve(partners.len());
-        out.anchor_points.clear();
-        out.anchor_points.resize(self.machines.len(), usize::MAX);
+        rank: R,
+    ) -> Option<(JobId, Objectives)> {
         let ma = schedule.machine_of(anchor);
         let anchor_machine = &self.machines[ma as usize];
         let anchor_pos = anchor_machine.position_of(anchor, problem.etc(anchor, ma));
         let anchor_row = problem.etc_row(anchor);
-        // Per-batch hoists: the anchor side of the flowtime delta.
         let flowtime_others = self.flowtime_total - anchor_machine.flowtime;
-        for &partner in partners {
-            let mb = schedule.machine_of(partner);
-            if ma == mb {
-                out.push(self.objectives());
+        let mut best: Option<(f64, JobId, Objectives)> = None;
+        for (job, mb) in schedule.iter() {
+            let partner_machine = &self.machines[mb as usize];
+            if mb == ma || partner_machine.slots[0].job != job {
                 continue;
             }
-            let (ca, fa) = anchor_machine.peek_replaced(
-                anchor_pos,
-                Slot {
-                    etc: problem.etc(partner, ma),
-                    job: partner,
-                },
-            );
-            let partner_machine = &self.machines[mb as usize];
             let anchor_in = Slot {
                 etc: anchor_row[mb as usize],
                 job: anchor,
             };
-            // The anchor slot's insertion point on `mb` is
-            // partner-independent: compute it once per machine per batch.
-            let point = &mut out.anchor_points[mb as usize];
-            if *point == usize::MAX {
-                *point = partner_machine.insertion_point(anchor_in);
+            let point = partner_machine.insertion_point(anchor_in);
+            let flowtime_rest = flowtime_others - partner_machine.flowtime;
+            let makespan_rest = self.top.max_excluding(ma, mb);
+            for (partner_pos, slot) in partner_machine.slots.iter().enumerate() {
+                let partner = slot.job;
+                let (ca, fa) = anchor_machine.peek_replaced(
+                    anchor_pos,
+                    Slot {
+                        etc: problem.etc(partner, ma),
+                        job: partner,
+                    },
+                );
+                let (cb, fb) = partner_machine.peek_replaced_at(partner_pos, anchor_in, point);
+                let mut makespan = ca.max(cb);
+                if let Some(rest) = makespan_rest {
+                    makespan = makespan.max(rest);
+                }
+                let objectives = Objectives {
+                    makespan: ticks::time(makespan),
+                    flowtime: ticks::time(flowtime_rest + fa + fb),
+                };
+                let score = rank(objectives);
+                if best.is_none_or(|(s, j, _)| score < s || (score == s && partner < j)) {
+                    best = Some((score, partner, objectives));
+                }
             }
-            let partner_pos = partner_machine.position_of(partner, problem.etc(partner, mb));
-            let (cb, fb) = partner_machine.peek_replaced_at(partner_pos, anchor_in, *point);
-            let flowtime = flowtime_others - partner_machine.flowtime + fa + fb;
-            let mut makespan = ca.max(cb);
-            if let Some(rest) = self.top.max_excluding(ma, mb) {
-                makespan = makespan.max(rest);
-            }
-            out.push(Objectives {
-                makespan: ticks::time(makespan),
-                flowtime: ticks::time(flowtime),
-            });
         }
+        best.map(|(_, partner, objectives)| (partner, objectives))
     }
 
     /// Moves `job` to machine `to`, updating schedule and caches. Totals
@@ -1204,16 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn machines_by_completion_into_reuses_buffer() {
-        let p = problem();
-        let s = Schedule::from_assignment(vec![0, 0, 1, 1, 2]);
-        let eval = EvalState::new(&p, &s);
-        let mut buf = vec![9, 9, 9, 9, 9, 9];
-        eval.machines_by_completion_into(&mut buf);
-        assert_eq!(buf, vec![0, 2, 1]);
-    }
-
-    #[test]
     fn machine_len_tracks_assignments() {
         let p = problem();
         let mut s = Schedule::uniform(5, 0);
@@ -1268,22 +1250,27 @@ mod tests {
     }
 
     #[test]
-    fn score_swaps_matches_peek_swap() {
+    fn best_swap_matches_a_peek_swap_scan() {
         let p = problem();
         let s = Schedule::from_assignment(vec![0, 1, 2, 0, 1]);
         let eval = EvalState::new(&p, &s);
         for anchor in 0..5u32 {
-            let partners: Vec<u32> = (0..5).collect();
-            let mut buf = ScoreBuf::new();
-            eval.score_swaps(&p, &s, anchor, &partners, &mut buf);
-            for (i, &partner) in partners.iter().enumerate() {
-                assert_eq!(
-                    buf.objectives(i),
-                    eval.peek_swap(&p, &s, anchor, partner),
-                    "swap ({anchor}, {partner})"
-                );
+            let mut expected: Option<(u32, Objectives)> = None;
+            for partner in (0..5u32).filter(|&j| s.machine_of(j) != s.machine_of(anchor)) {
+                let o = eval.peek_swap(&p, &s, anchor, partner);
+                if expected.is_none_or(|(_, b)| p.fitness(o) < p.fitness(b)) {
+                    expected = Some((partner, o));
+                }
             }
+            assert_eq!(
+                eval.best_swap(&p, &s, anchor, |o| p.fitness(o)),
+                expected,
+                "anchor {anchor}"
+            );
         }
+        let together = Schedule::uniform(5, 1);
+        let eval = EvalState::new(&p, &together);
+        assert_eq!(eval.best_swap(&p, &together, 0, |o| o.flowtime), None);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! evaluation (makespan + flowtime) of the reproduced paper, and an
 //! **incremental evaluator** whose prefix-sum machine caches answer
 //! move/swap probes in `O(log jobs-per-machine)` with O(1) global totals,
-//! plus a **batched scoring API** ([`EvalState::score_moves`] /
-//! [`EvalState::score_swaps`]) that evaluates whole candidate sets into a
-//! reusable flat buffer. All evaluation arithmetic runs on exact
-//! fixed-point ticks, so every path — full, incremental, batched — agrees
-//! bit-for-bit.
+//! plus a **batched move-scoring API** ([`EvalState::score_moves`]) that
+//! evaluates whole candidate sets into a reusable flat buffer and a
+//! **swap scan** ([`EvalState::best_swap`]) that ranks an anchor job's
+//! every swap partner machine by machine. All evaluation arithmetic runs
+//! on exact fixed-point ticks, so every path — full, incremental,
+//! batched — agrees bit-for-bit.
 //!
 //! ## Problem (paper §2)
 //!

@@ -4,7 +4,7 @@
 //! peeks) on arbitrary problems and operation sequences, including CVB
 //! consistency classes, machines with ready times and heavy ETC ties.
 
-use cmags_core::{evaluate, ticks, EvalState, Objective, Problem, Schedule, ScoreBuf};
+use cmags_core::{evaluate, ticks, EvalState, Objective, Objectives, Problem, Schedule, ScoreBuf};
 use cmags_etc::cvb::{self, CvbParams};
 use cmags_etc::{EtcMatrix, GridInstance, InstanceClass};
 use proptest::prelude::*;
@@ -84,6 +84,40 @@ fn cvb_problem_and_schedule() -> impl Strategy<Value = (Problem, Schedule)> {
             )
         })
     })
+}
+
+/// Strategy for the swap-scan oracle: 1–12 jobs on 1–12 machines, so
+/// both m > n (many empty and single-slot machines, anchors alone on
+/// theirs) and n > m occur. When `tied`, every ETC cell comes from a
+/// three-value pool with a duplicate, so equal scores are common; in a
+/// quarter of the cases every job sits on one machine.
+fn scan_problem_and_schedule() -> impl Strategy<Value = (Problem, Schedule)> {
+    (1usize..13, 1usize..13, any::<bool>(), 0u8..4).prop_flat_map(
+        |(jobs, machines, tied, stacked)| {
+            let etc = proptest::collection::vec(0.001f64..1000.0, jobs * machines);
+            let pool = proptest::collection::vec(0usize..3, jobs * machines);
+            let ready = proptest::collection::vec(0usize..3, machines);
+            let assignment = proptest::collection::vec(0u32..machines as u32, jobs);
+            (etc, pool, ready, assignment).prop_map(move |(etc, pool, ready, mut assignment)| {
+                let cells = if tied {
+                    pool.into_iter().map(|i| [1.5, 4.0, 4.0][i]).collect()
+                } else {
+                    etc
+                };
+                if stacked == 0 {
+                    let machine = assignment[0];
+                    assignment.fill(machine);
+                }
+                let matrix = EtcMatrix::from_rows(jobs, machines, cells);
+                let ready = ready.into_iter().map(|i| [0.0, 0.0, 7.5][i]).collect();
+                let inst = GridInstance::with_ready_times("scan", matrix, ready);
+                (
+                    Problem::from_instance(&inst),
+                    Schedule::from_assignment(assignment),
+                )
+            })
+        },
+    )
 }
 
 /// A random sequence of moves/swaps encoded dimension-agnostically:
@@ -209,26 +243,48 @@ proptest! {
         }
     }
 
-    /// Batched swap scoring is bit-identical to per-pair peeks and to the
-    /// merge-pass reference.
+    /// The swap scan returns exactly what a strict-`<` scan of
+    /// `peek_swap` (and of the merge-pass `peek_swap_merge`) over the
+    /// partners in ascending job order keeps: the same partner and the
+    /// same objective bits, under the fitness and the flowtime ranking,
+    /// for every anchor; `None` when no job sits on another machine.
     #[test]
-    fn score_swaps_is_bit_identical_to_peek_swap(
-        (problem, schedule) in problem_and_schedule(),
-        anchor in 0u32..1024,
-        raw in proptest::collection::vec(0u32..1024, 1..48),
+    fn best_swap_matches_a_strict_peek_swap_scan(
+        (problem, schedule) in scan_problem_and_schedule(),
+        objective in arb_objective(),
     ) {
+        let problem = problem.retargeted(objective);
         let eval = EvalState::new(&problem, &schedule);
-        let anchor = anchor % problem.nb_jobs() as u32;
-        let partners: Vec<u32> = raw
-            .into_iter()
-            .map(|j| j % problem.nb_jobs() as u32)
-            .collect();
-        let mut scores = ScoreBuf::new();
-        eval.score_swaps(&problem, &schedule, anchor, &partners, &mut scores);
-        for (i, &partner) in partners.iter().enumerate() {
-            let peek = eval.peek_swap(&problem, &schedule, anchor, partner);
-            prop_assert_eq!(scores.objectives(i), peek, "partner {}", i);
-            prop_assert_eq!(peek, eval.peek_swap_merge(&problem, &schedule, anchor, partner));
+        let by_fitness = |o: Objectives| problem.fitness(o);
+        let by_flowtime = |o: Objectives| o.flowtime;
+        let rankings: [(&str, &dyn Fn(Objectives) -> f64); 2] =
+            [("fitness", &by_fitness), ("flowtime", &by_flowtime)];
+        let bits = |found: Option<(u32, Objectives)>| {
+            found.map(|(j, o)| (j, o.makespan.to_bits(), o.flowtime.to_bits()))
+        };
+        let nb_jobs = problem.nb_jobs() as u32;
+        for anchor in 0..nb_jobs {
+            let home = schedule.machine_of(anchor);
+            for (name, rank) in rankings {
+                let mut closed: Option<(u32, Objectives)> = None;
+                let mut merged: Option<(u32, Objectives)> = None;
+                for partner in (0..nb_jobs).filter(|&j| schedule.machine_of(j) != home) {
+                    let o = eval.peek_swap(&problem, &schedule, anchor, partner);
+                    if closed.is_none_or(|(_, b)| rank(o) < rank(b)) {
+                        closed = Some((partner, o));
+                    }
+                    let o = eval.peek_swap_merge(&problem, &schedule, anchor, partner);
+                    if merged.is_none_or(|(_, b)| rank(o) < rank(b)) {
+                        merged = Some((partner, o));
+                    }
+                }
+                let found = eval.best_swap(&problem, &schedule, anchor, rank);
+                prop_assert_eq!(bits(found), bits(closed), "anchor {} by {}", anchor, name);
+                prop_assert_eq!(bits(found), bits(merged), "anchor {} by {}", anchor, name);
+                if schedule.iter().all(|(_, m)| m == home) {
+                    prop_assert!(found.is_none());
+                }
+            }
         }
     }
 
@@ -247,9 +303,8 @@ proptest! {
             let jb = b % problem.nb_jobs() as u32;
             let to = b % problem.nb_machines() as u32;
             if is_swap {
-                eval.score_swaps(&problem, &schedule, ja, &[jb], &mut scores);
                 prop_assert_eq!(
-                    scores.objectives(0),
+                    eval.peek_swap(&problem, &schedule, ja, jb),
                     eval.peek_swap_merge(&problem, &schedule, ja, jb)
                 );
                 eval.apply_swap(&problem, &mut schedule, ja, jb);
@@ -298,8 +353,8 @@ proptest! {
 
     /// Weighted-objective consistency: for random problems and random λ,
     /// the scalarised fitness of a candidate is **bit-for-bit** the same
-    /// whether its objectives come from the batched `score_moves` /
-    /// `score_swaps` buffers, a single `peek_*`, or a from-scratch
+    /// whether its objectives come from the batched `score_moves` buffer,
+    /// a single `peek_*`, the merge-pass reference or a from-scratch
     /// `evaluate` of the applied schedule — and the chunked `ScoreBuf`
     /// reduction agrees with the scalar scan.
     #[test]
@@ -315,21 +370,24 @@ proptest! {
             let ja = a % problem.nb_jobs() as u32;
             let jb = b % problem.nb_jobs() as u32;
             let to = b % problem.nb_machines() as u32;
-            let (batched, peeked) = if is_swap {
-                eval.score_swaps(&problem, &schedule, ja, &[jb], &mut scores);
-                (scores.objectives(0), eval.peek_swap(&problem, &schedule, ja, jb))
+            let (reference, peeked) = if is_swap {
+                (
+                    eval.peek_swap_merge(&problem, &schedule, ja, jb),
+                    eval.peek_swap(&problem, &schedule, ja, jb),
+                )
             } else {
                 eval.score_moves(&problem, &schedule, &[(ja, to)], &mut scores);
+                // Chunked reduction == scalar scan, bits included.
+                let chunked = scores.best_for(&problem).expect("one candidate");
+                let scanned = scores.best_by(|o| problem.fitness(o)).expect("one candidate");
+                prop_assert_eq!(chunked.0, scanned.0);
+                prop_assert_eq!(chunked.1.to_bits(), scanned.1.to_bits());
                 (scores.objectives(0), eval.peek_move(&problem, &schedule, ja, to))
             };
-            // Chunked reduction == scalar scan, bits included.
-            let chunked = scores.best_for(&problem).expect("one candidate");
-            let scanned = scores.best_by(|o| problem.fitness(o)).expect("one candidate");
-            prop_assert_eq!(chunked.0, scanned.0);
-            prop_assert_eq!(chunked.1.to_bits(), scanned.1.to_bits());
-            // Batched == single peek == from-scratch, through the blend.
+            // Batched or merge-pass == single peek == from-scratch,
+            // through the blend.
             prop_assert_eq!(
-                problem.fitness(batched).to_bits(),
+                problem.fitness(reference).to_bits(),
                 problem.fitness(peeked).to_bits()
             );
             if is_swap {

@@ -73,7 +73,7 @@ impl LocalSearch for LocalMctMove {
 
 /// LMCTS's anchored-swap scan ranked by **flowtime**; commits the best
 /// candidate only when the scalarised fitness strictly improves. The
-/// scan is one batched [`EvalState::score_swaps`] call.
+/// scan is one [`EvalState::best_swap`] call with a flowtime ranking.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalFlowtimeSwap;
 
@@ -94,40 +94,20 @@ impl LocalSearch for LocalFlowtimeSwap {
             return false;
         }
         let anchor = rng.gen_range(0..nb_jobs);
-        let anchor_machine = schedule.machine_of(anchor);
-
-        super::with_scratch(|scratch| {
-            scratch.partners.clear();
-            scratch
-                .partners
-                .extend((0..nb_jobs).filter(|&j| schedule.machine_of(j) != anchor_machine));
-            if scratch.partners.is_empty() {
-                return false;
-            }
-            eval.score_swaps(
-                problem,
-                schedule,
-                anchor,
-                &scratch.partners,
-                &mut scratch.scores,
-            );
-            let (best, best_flowtime) = scratch
-                .scores
-                .best_flowtime()
-                .expect("partners is non-empty");
-            if best_flowtime >= eval.flowtime() {
-                return false;
-            }
-            // Rank by flowtime, commit on fitness: the step must stay
-            // a strict improvement under the algorithm's objective.
-            let fitness = problem.fitness(scratch.scores.objectives(best));
-            if fitness < eval.fitness(problem) {
-                eval.apply_swap(problem, schedule, anchor, scratch.partners[best]);
-                true
-            } else {
-                false
-            }
-        })
+        let Some((partner, objectives)) = eval.best_swap(problem, schedule, anchor, |o| o.flowtime)
+        else {
+            return false;
+        };
+        // Rank by flowtime, commit on fitness: the step must stay a
+        // strict improvement under the algorithm's objective.
+        if objectives.flowtime < eval.flowtime()
+            && problem.fitness(objectives) < eval.fitness(problem)
+        {
+            eval.apply_swap(problem, schedule, anchor, partner);
+            true
+        } else {
+            false
+        }
     }
 }
 

@@ -5,14 +5,14 @@ use rand::{Rng, RngCore};
 
 use super::LocalSearch;
 
-/// Local Minimum Completion Time Swap: anchor one random job, score its
-/// swap with **every** job on a different machine in one batched call,
-/// and commit the best strictly improving pair.
+/// Local Minimum Completion Time Swap: anchor one random job, rank its
+/// swap with **every** job on a different machine by fitness, and commit
+/// the best pair when it strictly improves.
 ///
 /// One step scores `O(nb_jobs)` candidates through
-/// [`EvalState::score_swaps`], which resolves the anchor's machine, SPT
-/// position and ETC row once for the whole batch and answers each
-/// candidate with `O(log jobs-per-machine)` closed-form deltas. Swaps
+/// [`EvalState::best_swap`], which walks the partners machine by machine
+/// and answers each candidate with one binary search on the anchor's
+/// machine plus closed-form deltas; ties keep the lowest job id. Swaps
 /// preserve per-machine job counts, which makes LMCTS an effective
 /// *refiner* of already balanced schedules — the regime where pure moves
 /// (LM/SLM) stall — and is why it wins the paper's Fig. 2 and was fixed
@@ -37,35 +37,13 @@ impl LocalSearch for LocalMctSwap {
             return false;
         }
         let anchor = rng.gen_range(0..nb_jobs);
-        let anchor_machine = schedule.machine_of(anchor);
-
-        super::with_scratch(|scratch| {
-            scratch.partners.clear();
-            scratch
-                .partners
-                .extend((0..nb_jobs).filter(|&j| schedule.machine_of(j) != anchor_machine));
-            if scratch.partners.is_empty() {
-                return false;
-            }
-            eval.score_swaps(
-                problem,
-                schedule,
-                anchor,
-                &scratch.partners,
-                &mut scratch.scores,
-            );
-            let (best, fitness) = scratch
-                .scores
-                .best_for(problem)
-                .expect("partners is non-empty");
-            if fitness < eval.fitness(problem) {
-                let partner = scratch.partners[best];
+        match eval.best_swap(problem, schedule, anchor, |o| problem.fitness(o)) {
+            Some((partner, objectives)) if problem.fitness(objectives) < eval.fitness(problem) => {
                 eval.apply_swap(problem, schedule, anchor, partner);
                 true
-            } else {
-                false
             }
-        })
+            _ => false,
+        }
     }
 }
 

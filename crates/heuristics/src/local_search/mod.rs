@@ -25,12 +25,12 @@
 //! chains `iterations` steps — `nb local search iterations = 5` in the
 //! paper's Table 1.
 //!
-//! All multi-candidate scans (SLM, LMCTS and the extensions) go through
-//! the batched scoring API ([`cmags_core::EvalState::score_moves`] /
-//! [`cmags_core::EvalState::score_swaps`]) with per-thread reusable
-//! buffers ([`with_scratch`]), so a step performs no allocation and no
-//! per-candidate merge pass; LM's single probe uses `peek_move`
-//! directly.
+//! No step allocates or runs a per-candidate merge pass. SLM's move scan
+//! goes through the batched [`cmags_core::EvalState::score_moves`] with
+//! per-thread reusable buffers ([`with_scratch`]). The swap scans (LMCTS
+//! and LFTS) call [`cmags_core::EvalState::best_swap`], which keeps only
+//! the winner and needs no buffer. LM's and LMCTM's single probes use
+//! `peek_move` directly.
 
 mod extensions;
 mod lm;
@@ -56,8 +56,6 @@ use rand::RngCore;
 pub(crate) struct Scratch {
     /// `(job, target)` move candidates.
     pub moves: Vec<(JobId, MachineId)>,
-    /// Swap partners of the current anchor job.
-    pub partners: Vec<JobId>,
     /// Scored objectives, aligned with the candidate list.
     pub scores: ScoreBuf,
 }
@@ -65,7 +63,6 @@ pub(crate) struct Scratch {
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
         moves: Vec::new(),
-        partners: Vec::new(),
         scores: ScoreBuf::new(),
     });
 }

@@ -7,7 +7,7 @@
 
 use std::cell::RefCell;
 
-use cmags_core::{EvalState, JobId, MachineId, Problem, Schedule};
+use cmags_core::{ticks, EvalState, JobId, MachineId, Problem, Schedule};
 use rand::{Rng, RngCore};
 
 /// One-point crossover (the paper's recombination operator).
@@ -146,10 +146,10 @@ pub fn mutate_swap(schedule: &mut Schedule, rng: &mut dyn RngCore) -> Option<(Jo
 pub const REBALANCE_UNDERLOADED_FRACTION: f64 = 0.25;
 
 thread_local! {
-    /// Per-thread completion-order buffer of the rebalance mutation — the
-    /// mutation sits on the cellular sweep's hot path, so it must not
-    /// allocate per call.
-    static REBALANCE_ORDER: RefCell<Vec<MachineId>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread `(completion ticks, machine)` key buffer of the
+    /// rebalance mutation — the mutation sits on the cellular sweep's hot
+    /// path, so it must not allocate per call.
+    static REBALANCE_KEYS: RefCell<Vec<(i128, MachineId)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The paper's **rebalance** mutation: transfer one job from an
@@ -157,14 +157,16 @@ thread_local! {
 ///
 /// A machine is *overloaded* when its completion time equals the current
 /// makespan (`load_factor = 1`); the *less overloaded* machines are the
-/// first 25 % in ascending completion order. The job and the target are
-/// drawn uniformly. Returns the `(job, target)` applied, or `None` when
-/// the schedule cannot be rebalanced (single machine, or the overloaded
-/// machine holds no jobs).
+/// first 25 % in ascending `(completion, machine)` order (the order of
+/// [`EvalState::machines_by_completion`]), excluding the donor. The
+/// donor, the target and the job are drawn uniformly. Returns the
+/// `(job, target)` applied, or `None` when the schedule cannot be
+/// rebalanced (single machine, or no overloaded machine holds a job).
 ///
-/// The caller's [`EvalState`] is updated in lockstep. Allocation-free:
-/// the completion order fills a per-thread scratch buffer and all uniform
-/// draws select by counted scan instead of collecting candidate lists.
+/// The caller's [`EvalState`] is updated in lockstep. Nothing sorts the
+/// whole machine list: only the (usually tiny) overloaded set is sorted,
+/// and the target is found by its rank with one linear-time selection.
+/// The keys fill a per-thread buffer, so the call does not allocate.
 pub fn rebalance(
     problem: &Problem,
     schedule: &mut Schedule,
@@ -175,28 +177,46 @@ pub fn rebalance(
     if nb_machines < 2 {
         return None;
     }
-    REBALANCE_ORDER.with(|cell| {
-        let order = &mut *cell.borrow_mut();
-        eval.machines_by_completion_into(order);
-        // All machines at the makespan are overloaded; pick one at random
-        // (count, draw, then select by scan — no candidate list).
+    REBALANCE_KEYS.with(|cell| {
+        let keys = &mut *cell.borrow_mut();
+        keys.clear();
+        keys.extend((0..nb_machines as MachineId).map(|m| (eval.completion_ticks(m), m)));
+
+        // All machines at the makespan (compared as f64, the value
+        // `completion` reports) that hold a job are overloaded. Gather
+        // them at the tail in ascending key order and draw one.
         let makespan = eval.makespan();
-        let overloaded =
-            |m: &&MachineId| eval.completion(**m) >= makespan && eval.machine_len(**m) > 0;
-        let count = order.iter().filter(overloaded).count();
-        let pick = rng.gen_range(0..count.max(1));
-        let &donor = order.iter().filter(overloaded).nth(pick)?;
+        let mut rest = 0;
+        for i in 0..keys.len() {
+            let (completion, m) = keys[i];
+            if !(ticks::time(completion) >= makespan && eval.machine_len(m) > 0) {
+                keys.swap(rest, i);
+                rest += 1;
+            }
+        }
+        let overloaded = &mut keys[rest..];
+        overloaded.sort_unstable();
+        let pick = rng.gen_range(0..overloaded.len().max(1));
+        let donor_key = *overloaded.get(pick)?;
+        let donor = donor_key.1;
 
         // Less overloaded: the first 25% machines by completion (at least
-        // 1), excluding the donor.
+        // 1), excluding the donor. Skipping the donor shifts the ranks at
+        // and after its own by one.
         let cutoff = ((nb_machines as f64 * REBALANCE_UNDERLOADED_FRACTION).ceil() as usize).max(1);
-        let count = order.iter().take(cutoff).filter(|&&m| m != donor).count();
+        let donor_rank = keys.iter().filter(|&&key| key < donor_key).count();
+        let donor_in_prefix = donor_rank < cutoff;
+        let count = cutoff - usize::from(donor_in_prefix);
         let pick = rng.gen_range(0..count.max(1));
-        let &target = order
-            .iter()
-            .take(cutoff)
-            .filter(|&&m| m != donor)
-            .nth(pick)?;
+        if count == 0 {
+            return None;
+        }
+        let rank = if donor_in_prefix && donor_rank <= pick {
+            pick + 1
+        } else {
+            pick
+        };
+        let target = keys.select_nth_unstable(rank).1 .1;
 
         // Uniform job on the donor machine.
         let pick = rng.gen_range(0..eval.machine_len(donor));
