@@ -1,7 +1,7 @@
 //! Measures the discrete-event core's wall-clock scale: the queue hold
 //! model on both backends, full-run throughput (backends asserted
-//! bit-identical), phase shares and per-event flatness. `--large` runs
-//! the million-job size.
+//! bit-identical) and phase shares. `--large` runs the million-job size
+//! and adds the per-event flatness table.
 
 use cmags_bench::args::{Args, Ctx};
 use cmags_bench::experiments::sim_scale::sim_scale;

@@ -18,7 +18,7 @@
 //! | `ablation` | `DESIGN.md` ABL-* — component ablations |
 //! | `dynamic` | §1/§6 claim — dynamic scheduling via `cmags-gridsim` |
 //! | `portfolio` | racing portfolio vs best single engine at equal children |
-//! | `sim_scale` | event-core scale: queue hold model, throughput, flatness |
+//! | `sim_scale` | event-core scale: queue hold model, throughput, flatness (`--large`) |
 //! | `full_eval` | runs everything above in sequence |
 //!
 //! Every binary accepts `--paper` (full 90 s × 10-run protocol),
