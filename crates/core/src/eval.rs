@@ -367,7 +367,7 @@ impl ScoreBuf {
     /// Generic fallback: the closure re-assembles an [`Objectives`] per
     /// candidate, which defeats vectorisation. The hot scalarisations
     /// have chunked column-wise specialisations —
-    /// [`ScoreBuf::best_fitness`] and [`ScoreBuf::best_flowtime`].
+    /// [`ScoreBuf::best_fitness`] and [`ScoreBuf::best_for`].
     #[must_use]
     pub fn best_by<F: FnMut(Objectives) -> f64>(&self, mut score: F) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
@@ -400,14 +400,6 @@ impl ScoreBuf {
             1.0 - lambda,
             nb_machines as f64,
         )
-    }
-
-    /// Index and flowtime of the first candidate minimising flowtime
-    /// alone (the QoS-first ranking of the local-search extensions) —
-    /// chunked like [`ScoreBuf::best_fitness`].
-    #[must_use]
-    pub fn best_flowtime(&self) -> Option<(usize, f64)> {
-        best_weighted(&self.makespan, &self.flowtime, 0.0, 1.0, 1.0)
     }
 
     /// Index and fitness of the first candidate minimising the
@@ -1309,9 +1301,6 @@ mod tests {
             let by_closure = buf.best_by(|o| weights.fitness(o, 16));
             let chunked = buf.best_fitness(weights, 16);
             assert_eq!(by_closure, chunked, "fitness argmin at len {len}");
-            let ft_closure = buf.best_by(|o| o.flowtime);
-            let ft_chunked = buf.best_flowtime();
-            assert_eq!(ft_closure, ft_chunked, "flowtime argmin at len {len}");
             if let (Some((i, a)), Some((j, b))) = (by_closure, chunked) {
                 assert_eq!(i, j);
                 assert_eq!(a.to_bits(), b.to_bits(), "score must be bit-identical");
