@@ -27,7 +27,7 @@
 //!
 //! No step allocates or runs a per-candidate merge pass. SLM's move scan
 //! goes through the batched [`cmags_core::EvalState::score_moves`] with
-//! per-thread reusable buffers ([`with_scratch`]). The swap scans (LMCTS
+//! per-thread reusable buffers (`with_scratch`). The swap scans (LMCTS
 //! and LFTS) call [`cmags_core::EvalState::best_swap`], which keeps only
 //! the winner and needs no buffer. LM's and LMCTM's single probes use
 //! `peek_move` directly.
