@@ -207,6 +207,8 @@ pub fn rebalance(
         let donor_rank = keys.iter().filter(|&&key| key < donor_key).count();
         let donor_in_prefix = donor_rank < cutoff;
         let count = cutoff - usize::from(donor_in_prefix);
+        // Draw before the empty check: the RNG stream the rest of the
+        // run sees depends on it.
         let pick = rng.gen_range(0..count.max(1));
         if count == 0 {
             return None;
@@ -216,7 +218,7 @@ pub fn rebalance(
         } else {
             pick
         };
-        let target = keys.select_nth_unstable(rank).1 .1;
+        let (_, &mut (_, target), _) = keys.select_nth_unstable(rank);
 
         // Uniform job on the donor machine.
         let pick = rng.gen_range(0..eval.machine_len(donor));
